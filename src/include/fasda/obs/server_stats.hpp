@@ -122,10 +122,10 @@ class ServeTrace {
   std::size_t size() const;
   std::uint64_t dropped() const;
 
-  /// Chrome trace JSON ("traceEvents"). Spans still open at export time
-  /// are closed at the export timestamp (snapshot semantics), so periodic
-  /// dumps from a live daemon — including the last dump a SIGKILLed
-  /// incarnation left behind — always validate as well nested.
+  /// Chrome trace JSON (via ChromeTraceWriter). Spans still open at export
+  /// time are closed at the export timestamp (snapshot semantics), so
+  /// periodic dumps from a live daemon — including the last dump a
+  /// SIGKILLed incarnation left behind — always validate as well nested.
   std::string to_chrome_json() const;
 
  private:
@@ -135,7 +135,7 @@ class ServeTrace {
     std::uint64_t span = 0;
     char phase = 'i';
     const char* name = "";
-    std::string tenant;
+    std::string tenant{};
     std::int64_t arg = -1;
     const char* arg_name = nullptr;
   };

@@ -16,9 +16,74 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "fasda/util/json_text.hpp"
+
 namespace fasda::obs {
+
+/// The one Chrome trace-event JSON writer (TraceBus and ServeTrace both
+/// export through it): the trace envelope, one record per line, fields and
+/// args in the order the caller adds them, strings escaped.
+class ChromeTraceWriter {
+ public:
+  /// A process_name / thread_name metadata record.
+  void metadata(const char* kind, std::int64_t pid, std::uint64_t tid,
+                std::string_view name) {
+    begin(kind);
+    str("ph", "M");
+    num("pid", pid);
+    num("tid", tid);
+    args();
+    str("name", name);
+    end();
+  }
+  /// Starts a record with its "name" field; end() closes it.
+  void begin(std::string_view name) {
+    if (!first_record_) out_ += ",\n";
+    first_record_ = false;
+    out_ += '{';
+    first_field_ = true;
+    in_args_ = false;
+    str("name", name);
+  }
+  void str(std::string_view key, std::string_view value) {
+    field(key);
+    out_ += '"';
+    util::append_json_escaped(out_, value);
+    out_ += '"';
+  }
+  template <class T>
+  void num(std::string_view key, T value) {
+    field(key);
+    util::append_decimal(out_, value);
+  }
+  /// Opens the record's "args" object: later fields go inside it.
+  void args() {
+    field("args");
+    out_ += '{';
+    first_field_ = true;
+    in_args_ = true;
+  }
+  void end() { out_ += in_args_ ? "}}" : "}"; }
+  std::string finish() { return std::move(out_ += "\n]}\n"); }
+
+ private:
+  void field(std::string_view key) {
+    if (!first_field_) out_ += ',';
+    first_field_ = false;
+    out_ += '"';
+    util::append_json_escaped(out_, key);
+    out_ += "\":";
+  }
+
+  std::string out_ = "{\"traceEvents\":[\n";
+  bool first_record_ = true;
+  bool first_field_ = true;
+  bool in_args_ = false;
+};
 
 using Cycle = std::uint64_t;
 

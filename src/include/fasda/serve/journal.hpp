@@ -1,24 +1,19 @@
 #pragma once
 // Write-ahead job journal for fasda_serve (DESIGN.md §16).
 //
-// An append-only file of CRC-framed records using the same discipline as
-// the client wire protocol (serve/wire.hpp):
+// An append-only file of records in the shared frame format
+// (util/frame.hpp, DESIGN.md §18) with a 16 MiB cap and JSON payloads.
+// The journal is the server's durability root: a job is acknowledged to a
+// client only after its kAdmitted record is on disk, and a result is
+// pushed only after its kCompleted record is on disk, so "acknowledged"
+// always implies "recoverable".
 //
-//   [u32 length][u32 crc][u8 type][payload ...]
-//
-// `length` counts the type byte plus the payload, little-endian; `crc` is
-// CRC-32 over the same bytes. Payloads are JSON. The journal is the
-// server's durability root: a job is acknowledged to a client only after
-// its kAdmitted record is on disk, and a result is pushed only after its
-// kCompleted record is on disk, so "acknowledged" always implies
-// "recoverable".
-//
-// Recovery never trusts the file: scan_journal_bytes() walks records until
-// the first damaged byte, salvages the valid prefix, and classifies the
-// tail (clean / torn mid-record / corrupt) in a typed RecoveryReport — a
-// torn final append from a crash is indistinguishable from power loss and
-// both land in the same salvage path. open_appending() then truncates the
-// file to the salvaged prefix (preserving the damaged tail in a
+// Recovery never trusts the file: scan_journal_bytes() parses records
+// until the first damaged byte, salvages the valid prefix, and classifies
+// the tail (clean / torn mid-record / corrupt) in a typed RecoveryReport —
+// a torn final append from a crash is indistinguishable from power loss
+// and both land in the same salvage path. open_appending() then truncates
+// the file to the salvaged prefix (preserving the damaged tail in a
 // `.quarantined` sidecar for post-mortems) and resumes appending.
 // Compaction (rotate) rewrites the journal through the same tmp+rename
 // path as md::save_checkpoint, so a crash mid-rotation leaves either the

@@ -62,10 +62,8 @@ class Value {
 /// trailing non-whitespace.
 std::optional<Value> parse(std::string_view text, std::string* error = nullptr);
 
-/// Appends `s` JSON-escaped (no surrounding quotes).
-void append_escaped(std::string& out, std::string_view s);
-
-/// `"s"` with escaping — the building block for handwritten writers.
+/// `"s"` escaped by util::append_json_escaped — the building block for
+/// handwritten writers.
 std::string quoted(std::string_view s);
 
 /// Serializes a Value (round-trip form; integral numbers print exactly).

@@ -149,7 +149,9 @@ class Server {
   struct ConnState;
   struct Job;
 
-  void accept_loop();
+  /// Runs on accept_thread_. Takes the listen fd by value: stop() closes
+  /// listen_fd_ only after joining this thread.
+  void accept_loop(int listen_fd);
   void connection_loop(std::shared_ptr<ConnState> conn);
   void reap_connection(std::uint64_t conn_id);
   void join_finished_conn_threads();

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <cinttypes>
 #include <cstdio>
 #include <stdexcept>
+
+#include "fasda/util/json_text.hpp"
 
 namespace fasda::obs {
 
@@ -15,18 +16,6 @@ namespace {
 void append_double(std::string& out, double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  out += buf;
-}
-
-void append_int(std::string& out, int v) {
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "%d", v);
   out += buf;
 }
 
@@ -304,23 +293,23 @@ std::string MetricsSnapshot::to_json() const {
     if (!first) out += ',';
     first = false;
     out += "{\"name\":\"";
-    out += s.name;
+    util::append_json_escaped(out, s.name);
     out += "\",\"kind\":\"";
     out += metric_kind_name(s.kind);
     out += '"';
     switch (s.kind) {
       case MetricKind::kCounter: {
         out += ",\"total\":";
-        append_u64(out, s.total);
+        util::append_decimal(out, s.total);
         out += ",\"per_node\":{";
         bool f2 = true;
         for (const auto& [node, v] : s.per_node) {
           if (!f2) out += ',';
           f2 = false;
           out += '"';
-          append_int(out, node);
+          util::append_decimal(out, node);
           out += "\":";
-          append_u64(out, v);
+          util::append_decimal(out, v);
         }
         out += '}';
         break;
@@ -334,7 +323,7 @@ std::string MetricsSnapshot::to_json() const {
           if (!f2) out += ',';
           f2 = false;
           out += '"';
-          append_int(out, node);
+          util::append_decimal(out, node);
           out += "\":";
           append_double(out, v);
         }
@@ -343,9 +332,9 @@ std::string MetricsSnapshot::to_json() const {
       }
       case MetricKind::kHistogram: {
         out += ",\"count\":";
-        append_u64(out, s.bucket_count());
+        util::append_decimal(out, s.bucket_count());
         out += ",\"sum\":";
-        append_u64(out, s.sum);
+        util::append_decimal(out, s.sum);
         out += ",\"buckets\":{";
         bool f2 = true;
         for (std::size_t b = 0; b < s.buckets.size(); ++b) {
@@ -353,9 +342,9 @@ std::string MetricsSnapshot::to_json() const {
           if (!f2) out += ',';
           f2 = false;
           out += '"';
-          append_int(out, static_cast<int>(b));
+          util::append_decimal(out, static_cast<int>(b));
           out += "\":";
-          append_u64(out, s.buckets[b]);
+          util::append_decimal(out, s.buckets[b]);
         }
         out += '}';
         break;
@@ -382,19 +371,19 @@ std::string MetricsSnapshot::to_prometheus() const {
       case MetricKind::kCounter:
         for (const auto& [node, v] : s.per_node) {
           out += name + "{node=\"";
-          append_int(out, node);
+          util::append_decimal(out, node);
           out += "\"} ";
-          append_u64(out, v);
+          util::append_decimal(out, v);
           out += '\n';
         }
         out += name + ' ';
-        append_u64(out, s.total);
+        util::append_decimal(out, s.total);
         out += '\n';
         break;
       case MetricKind::kGauge:
         for (const auto& [node, v] : s.per_node_values) {
           out += name + "{node=\"";
-          append_int(out, node);
+          util::append_decimal(out, node);
           out += "\"} ";
           append_double(out, v);
           out += '\n';
@@ -414,19 +403,19 @@ std::string MetricsSnapshot::to_prometheus() const {
         for (std::size_t b = 0; b <= top; ++b) {
           cum += s.buckets[b];
           out += name + "_bucket{le=\"";
-          append_u64(out, b == 0 ? 0 : (std::uint64_t{1} << b) - 1);
+          util::append_decimal(out, b == 0 ? 0 : (std::uint64_t{1} << b) - 1);
           out += "\"} ";
-          append_u64(out, cum);
+          util::append_decimal(out, cum);
           out += '\n';
         }
         out += name + "_bucket{le=\"+Inf\"} ";
-        append_u64(out, s.bucket_count());
+        util::append_decimal(out, s.bucket_count());
         out += '\n';
         out += name + "_sum ";
-        append_u64(out, s.sum);
+        util::append_decimal(out, s.sum);
         out += '\n';
         out += name + "_count ";
-        append_u64(out, s.bucket_count());
+        util::append_decimal(out, s.bucket_count());
         out += '\n';
         break;
       }

@@ -5,8 +5,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
+
+#include "fasda/obs/trace.hpp"
 
 namespace fasda::obs {
 
@@ -113,40 +113,22 @@ void ServeTrace::push(Event e) {
 void ServeTrace::begin(std::uint64_t job, std::uint64_t span, const char* name,
                        std::string tenant) {
   if (!enabled_) return;
-  Event e;
-  e.ts_us = wall_micros();
-  e.job = job;
-  e.span = span;
-  e.phase = 'B';
-  e.name = name;
-  e.tenant = std::move(tenant);
-  push(std::move(e));
+  push({.ts_us = wall_micros(), .job = job, .span = span, .phase = 'B',
+        .name = name, .tenant = std::move(tenant)});
 }
 
 void ServeTrace::end(std::uint64_t job, std::uint64_t span, const char* name) {
   if (!enabled_) return;
-  Event e;
-  e.ts_us = wall_micros();
-  e.job = job;
-  e.span = span;
-  e.phase = 'E';
-  e.name = name;
-  push(std::move(e));
+  push({.ts_us = wall_micros(), .job = job, .span = span, .phase = 'E',
+        .name = name});
 }
 
 void ServeTrace::instant(std::uint64_t job, std::uint64_t span,
                          const char* name, std::int64_t arg,
                          const char* arg_name) {
   if (!enabled_) return;
-  Event e;
-  e.ts_us = wall_micros();
-  e.job = job;
-  e.span = span;
-  e.phase = 'i';
-  e.name = name;
-  e.arg = arg;
-  e.arg_name = arg_name;
-  push(std::move(e));
+  push({.ts_us = wall_micros(), .job = job, .span = span, .phase = 'i',
+        .name = name, .arg = arg, .arg_name = arg_name});
 }
 
 std::size_t ServeTrace::size() const {
@@ -188,68 +170,36 @@ std::string ServeTrace::to_chrome_json() const {
   }
   const std::uint64_t close_ts = wall_micros();
 
-  std::string out = "{\"traceEvents\":[\n";
-  char buf[256];
-  std::snprintf(buf, sizeof buf,
-                "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
-                "\"tid\":0,\"args\":{\"name\":\"fasda_serve (wall clock)\"}}");
-  out += buf;
+  ChromeTraceWriter w;
+  w.metadata("process_name", 1, 0, "fasda_serve (wall clock)");
   // Per-job track names, in first-appearance order.
   std::vector<std::uint64_t> seen;
   for (const Event& e : events) {
     if (std::find(seen.begin(), seen.end(), e.job) != seen.end()) continue;
     seen.push_back(e.job);
-    if (e.job == 0) {
-      std::snprintf(buf, sizeof buf,
-                    ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
-                    "\"tid\":0,\"args\":{\"name\":\"server\"}}");
-    } else {
-      std::snprintf(buf, sizeof buf,
-                    ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
-                    "\"tid\":%" PRIu64
-                    ",\"args\":{\"name\":\"job %" PRIu64 "\"}}",
-                    e.job, e.job);
-    }
-    out += buf;
+    w.metadata("thread_name", 1, e.job,
+               e.job == 0 ? "server" : "job " + std::to_string(e.job));
   }
-  const auto emit = [&out, &buf](const Event& e) {
-    std::snprintf(buf, sizeof buf,
-                  ",\n{\"name\":\"%s\",\"ph\":\"%c\",\"pid\":1,\"tid\":%" PRIu64
-                  ",\"ts\":%" PRIu64,
-                  e.name, e.phase, e.job, e.ts_us);
-    out += buf;
-    if (e.phase == 'i') out += ",\"s\":\"t\"";
-    std::snprintf(buf, sizeof buf,
-                  ",\"args\":{\"job\":%" PRIu64 ",\"span\":%" PRIu64, e.job,
-                  e.span);
-    out += buf;
-    if (!e.tenant.empty()) {
-      out += ",\"tenant\":\"";
-      for (char c : e.tenant) {
-        if (c == '"' || c == '\\') out += '\\';
-        if (static_cast<unsigned char>(c) >= 0x20) out += c;
-      }
-      out += '"';
-    }
-    if (e.arg_name != nullptr) {
-      std::snprintf(buf, sizeof buf, ",\"%s\":%lld", e.arg_name,
-                    static_cast<long long>(e.arg));
-      out += buf;
-    }
-    out += "}}";
+  const auto emit = [&w](const Event& e) {
+    w.begin(e.name);
+    w.str("ph", std::string_view(&e.phase, 1));
+    w.num("pid", 1);
+    w.num("tid", e.job);
+    w.num("ts", e.ts_us);
+    if (e.phase == 'i') w.str("s", "t");
+    w.args();
+    w.num("job", e.job);
+    w.num("span", e.span);
+    if (!e.tenant.empty()) w.str("tenant", e.tenant);
+    if (e.arg_name != nullptr) w.num(e.arg_name, e.arg);
+    w.end();
   };
   for (const Event& e : events) emit(e);
   for (std::size_t i = open.size(); i-- > 0;) {
-    Event e;
-    e.ts_us = close_ts;
-    e.job = open[i].job;
-    e.span = open[i].span;
-    e.phase = 'E';
-    e.name = open[i].name;
-    emit(e);
+    emit({.ts_us = close_ts, .job = open[i].job, .span = open[i].span,
+          .phase = 'E', .name = open[i].name});
   }
-  out += "\n]}\n";
-  return out;
+  return w.finish();
 }
 
 }  // namespace fasda::obs

@@ -1,8 +1,6 @@
 #include "fasda/obs/trace.hpp"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 #include <set>
 #include <utility>
 
@@ -121,28 +119,6 @@ bool TraceBus::empty() const {
   return true;
 }
 
-namespace {
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  out += buf;
-}
-
-void append_i64(std::string& out, std::int64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRId64, v);
-  out += buf;
-}
-
-void append_int(std::string& out, int v) {
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "%d", v);
-  out += buf;
-}
-
-}  // namespace
-
 std::string TraceBus::to_chrome_json() const {
   const std::vector<TraceEvent> all = events();
 
@@ -154,65 +130,31 @@ std::string TraceBus::to_chrome_json() const {
     tracks.insert({e.pid, static_cast<int>(e.tid)});
   }
 
-  std::string out = "{\"traceEvents\":[\n";
-  bool first = true;
+  ChromeTraceWriter w;
   for (int pid : pids) {
-    if (!first) out += ",\n";
-    first = false;
-    out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":";
-    append_int(out, pid);
-    out += ",\"tid\":0,\"args\":{\"name\":\"";
-    if (pid == kClusterPid) {
-      out += "cluster";
-    } else {
-      out += "node";
-      append_int(out, pid);
-    }
-    out += "\"}}";
+    w.metadata("process_name", pid, 0,
+               pid == kClusterPid ? "cluster" : "node" + std::to_string(pid));
   }
   for (const auto& [pid, tid] : tracks) {
-    out += ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":";
-    append_int(out, pid);
-    out += ",\"tid\":";
-    append_int(out, tid);
-    out += ",\"args\":{\"name\":\"";
-    out += comp_name(static_cast<Comp>(tid));
-    out += "\"}}";
+    w.metadata("thread_name", pid, static_cast<std::uint64_t>(tid),
+               comp_name(static_cast<Comp>(tid)));
   }
-
   for (const TraceEvent& e : all) {
-    if (!first) out += ",\n";
-    first = false;
-    out += "{\"name\":\"";
-    out += e.name;
-    out += "\",\"cat\":\"";
-    out += comp_name(e.tid);
-    out += "\",\"ph\":\"";
-    out += e.phase;
-    out += '"';
-    if (e.phase == 'i') out += ",\"s\":\"t\"";
-    out += ",\"ts\":";
-    append_u64(out, e.ts);
-    out += ",\"pid\":";
-    append_int(out, e.pid);
-    out += ",\"tid\":";
-    append_int(out, static_cast<int>(e.tid));
-    if (e.phase == 'E') {
-      out += '}';
-      continue;
+    w.begin(e.name);
+    w.str("cat", comp_name(e.tid));
+    w.str("ph", std::string_view(&e.phase, 1));
+    if (e.phase == 'i') w.str("s", "t");
+    w.num("ts", e.ts);
+    w.num("pid", e.pid);
+    w.num("tid", static_cast<int>(e.tid));
+    if (e.phase != 'E') {
+      w.args();
+      w.num("cycle", e.cycle);
+      if (e.arg_name != nullptr) w.num(e.arg_name, e.arg);
     }
-    out += ",\"args\":{\"cycle\":";
-    append_u64(out, e.cycle);
-    if (e.arg_name != nullptr) {
-      out += ",\"";
-      out += e.arg_name;
-      out += "\":";
-      append_i64(out, e.arg);
-    }
-    out += "}}";
+    w.end();
   }
-  out += "\n]}\n";
-  return out;
+  return w.finish();
 }
 
 }  // namespace fasda::obs

@@ -12,25 +12,11 @@
 #include <utility>
 
 #include "fasda/obs/server_stats.hpp"
-#include "fasda/util/crc32.hpp"
+#include "fasda/util/frame.hpp"
 
 namespace fasda::serve {
 
 namespace {
-
-std::uint32_t get_u32_le(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-void put_u32_le(std::vector<std::uint8_t>& buf, std::uint32_t v) {
-  buf.push_back(static_cast<std::uint8_t>(v));
-  buf.push_back(static_cast<std::uint8_t>(v >> 8));
-  buf.push_back(static_cast<std::uint8_t>(v >> 16));
-  buf.push_back(static_cast<std::uint8_t>(v >> 24));
-}
 
 std::string errno_str(const char* op) {
   return std::string(op) + " failed: " + std::strerror(errno);
@@ -40,76 +26,57 @@ std::string errno_str(const char* op) {
 
 std::vector<std::uint8_t> encode_journal_record(JournalRecord type,
                                                 std::string_view payload) {
-  if (payload.size() > kMaxJournalRecordBytes - 1) {
+  std::vector<std::uint8_t> buf = util::frame::encode(
+      static_cast<std::uint8_t>(type), payload, kMaxJournalRecordBytes);
+  if (buf.empty()) {
     throw JournalError("record payload of " + std::to_string(payload.size()) +
                        " bytes exceeds the " +
                        std::to_string(kMaxJournalRecordBytes) +
                        "-byte record cap");
   }
-  const std::uint32_t length = static_cast<std::uint32_t>(payload.size()) + 1;
-  const std::uint8_t type_byte = static_cast<std::uint8_t>(type);
-  util::Crc32 crc;
-  crc.add_bytes(&type_byte, 1);
-  if (!payload.empty()) crc.add_bytes(payload.data(), payload.size());
-  std::vector<std::uint8_t> buf;
-  buf.reserve(9 + payload.size());
-  put_u32_le(buf, length);
-  put_u32_le(buf, crc.value());
-  buf.push_back(type_byte);
-  buf.insert(buf.end(), payload.begin(), payload.end());
   return buf;
 }
 
 RecoveryReport scan_journal_bytes(const std::uint8_t* data, std::size_t n) {
+  using util::frame::Status;
   RecoveryReport report;
   std::size_t pos = 0;
   for (;;) {
     const std::size_t remaining = n - pos;
-    if (remaining == 0) {
-      report.tail = JournalTail::kClean;
-      break;
+    const util::frame::Parsed p = util::frame::parse(
+        data + pos, remaining, kMaxJournalRecordBytes, journal_record_known);
+    if (p.status == Status::kFrame) {
+      report.entries.push_back(
+          {static_cast<JournalRecord>(p.type),
+           std::string(reinterpret_cast<const char*>(p.payload),
+                       p.length - 1)});
+      pos += p.frame_bytes();
+      continue;
     }
-    if (remaining < 8) {
+    // Running out of bytes mid-record is a torn tail (exactly on a record
+    // boundary, a clean one); any damaged record is a corrupt one.
+    if (p.status == Status::kNeedMore) {
+      if (remaining == 0) break;
       report.tail = JournalTail::kTorn;
-      report.issue = "file ends inside a record header (" +
-                     std::to_string(remaining) + " of 8 header bytes)";
-      break;
-    }
-    const std::uint32_t length = get_u32_le(data + pos);
-    const std::uint32_t want_crc = get_u32_le(data + pos + 4);
-    if (length == 0 || length > kMaxJournalRecordBytes) {
-      report.tail = JournalTail::kCorrupt;
       report.issue =
-          "record length " + std::to_string(length) + " is out of range";
-      break;
-    }
-    if (remaining < 8 + static_cast<std::size_t>(length)) {
-      report.tail = JournalTail::kTorn;
-      report.issue = "file ends inside a record body (" +
-                     std::to_string(remaining - 8) + " of " +
-                     std::to_string(length) + " body bytes)";
-      break;
-    }
-    util::Crc32 crc;
-    crc.add_bytes(data + pos + 8, length);
-    if (crc.value() != want_crc) {
+          remaining < util::frame::kHeaderBytes
+              ? "file ends inside a record header (" +
+                    std::to_string(remaining) + " of 8 header bytes)"
+              : "file ends inside a record body (" +
+                    std::to_string(remaining - 8) + " of " +
+                    std::to_string(p.length) + " body bytes)";
+    } else {
       report.tail = JournalTail::kCorrupt;
-      report.issue = "record CRC mismatch";
-      break;
+      switch (p.status) {
+        case Status::kBadLength:
+          report.issue = "record length " + std::to_string(p.length) +
+                         " is out of range";
+          break;
+        case Status::kBadCrc: report.issue = "record CRC mismatch"; break;
+        default: report.issue = "unknown record type " + std::to_string(p.type);
+      }
     }
-    const std::uint8_t type_byte = data[pos + 8];
-    if (!journal_record_known(type_byte)) {
-      report.tail = JournalTail::kCorrupt;
-      report.issue =
-          "unknown record type " + std::to_string(type_byte);
-      break;
-    }
-    JournalEntry entry;
-    entry.type = static_cast<JournalRecord>(type_byte);
-    entry.payload.assign(reinterpret_cast<const char*>(data + pos + 9),
-                         length - 1);
-    report.entries.push_back(std::move(entry));
-    pos += 8 + static_cast<std::size_t>(length);
+    break;
   }
   report.salvaged_bytes = pos;
   report.quarantined_bytes = n - pos;

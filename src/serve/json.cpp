@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "fasda/util/json_text.hpp"
+
 namespace fasda::serve::json {
 namespace {
 
@@ -280,32 +282,11 @@ std::optional<Value> parse(std::string_view text, std::string* error) {
   return Parser(text).run(error);
 }
 
-void append_escaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 std::string quoted(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);
   out += '"';
-  append_escaped(out, s);
+  util::append_json_escaped(out, s);
   out += '"';
   return out;
 }

@@ -174,7 +174,8 @@ void Server::start() {
   if (!config_.state_dir.empty()) {
     recovery_thread_ = std::thread([this] { recover_and_admit(); });
   }
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  accept_thread_ =
+      std::thread([this, fd = listen_fd_] { accept_loop(fd); });
   if (config_.wall_obs &&
       (!config_.metrics_out.empty() || !config_.trace_out.empty())) {
     metrics_thread_ = std::thread([this] { metrics_loop(); });
@@ -213,12 +214,14 @@ void Server::stop() {
   if (torn_down_.exchange(true)) return;
   stopping_.store(true);
   request_drain();  // unblock wait_for_drain_signal()
+  // Wake the acceptor, join it, and only then close: closing first would
+  // let accept() run on a reused fd number.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   join_recovery_thread();
   std::unordered_map<std::uint64_t, std::shared_ptr<ConnState>> conns;
   std::vector<std::thread> threads;
@@ -292,14 +295,14 @@ void Server::install_signal_drain(Server* server) {
   ::sigaction(SIGINT, &sa, nullptr);
 }
 
-void Server::accept_loop() {
+void Server::accept_loop(int listen_fd) {
   for (;;) {
     join_finished_conn_threads();
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       const int err = errno;
       if (err == EINTR) continue;
-      if (stopping_.load()) return;  // listen socket closed by stop()
+      if (stopping_.load()) return;  // listen socket shut down by stop()
       switch (err) {
         // Transient: the peer hung up mid-handshake, or the process/system
         // is briefly out of fds or buffers. A daemon must keep accepting —

@@ -2,11 +2,12 @@
 
 #include <atomic>
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
 #include <mutex>
 #include <stdexcept>
 #include <string>
+
+#include "fasda/util/json_text.hpp"
 
 namespace fasda::util {
 
@@ -28,20 +29,6 @@ const char* json_level_name(LogLevel level) noexcept {
   return "?";
 }
 
-void json_escaped(std::FILE* f, std::string_view s) {
-  for (char c : s) {
-    const auto u = static_cast<unsigned char>(c);
-    if (c == '"' || c == '\\') {
-      std::fputc('\\', f);
-      std::fputc(c, f);
-    } else if (u < 0x20) {
-      std::fprintf(f, "\\u%04x", u);
-    } else {
-      std::fputc(c, f);
-    }
-  }
-}
-
 /// One JSON line per message; caller holds g_emit_mutex.
 void json_emit_locked(LogLevel level, const LogFields& fields,
                       std::string_view msg) {
@@ -49,24 +36,27 @@ void json_emit_locked(LogLevel level, const LogFields& fields,
   const auto ts_us = std::chrono::duration_cast<std::chrono::microseconds>(
                          std::chrono::system_clock::now().time_since_epoch())
                          .count();
-  std::fprintf(g_json, "{\"ts_us\":%lld,\"level\":\"%s\"",
-               static_cast<long long>(ts_us), json_level_name(level));
-  if (!fields.component.empty()) {
-    std::fputs(",\"component\":\"", g_json);
-    json_escaped(g_json, fields.component);
-    std::fputc('"', g_json);
-  }
+  std::string line = "{\"ts_us\":";
+  append_decimal(line, ts_us);
+  line += ",\"level\":\"";
+  line += json_level_name(level);
+  line += '"';
+  const auto field = [&line](const char* key, std::string_view value) {
+    line += ",\"";
+    line += key;
+    line += "\":\"";
+    append_json_escaped(line, value);
+    line += '"';
+  };
+  if (!fields.component.empty()) field("component", fields.component);
   if (fields.job != 0) {
-    std::fprintf(g_json, ",\"job\":%" PRIu64, fields.job);
+    line += ",\"job\":";
+    append_decimal(line, fields.job);
   }
-  if (!fields.tenant.empty()) {
-    std::fputs(",\"tenant\":\"", g_json);
-    json_escaped(g_json, fields.tenant);
-    std::fputc('"', g_json);
-  }
-  std::fputs(",\"msg\":\"", g_json);
-  json_escaped(g_json, msg);
-  std::fputs("\"}\n", g_json);
+  if (!fields.tenant.empty()) field("tenant", fields.tenant);
+  field("msg", msg);
+  line += "}\n";
+  std::fwrite(line.data(), 1, line.size(), g_json);
   std::fflush(g_json);
 }
 }  // namespace

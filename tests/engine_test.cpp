@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "fasda/engine/batch_runner.hpp"
 #include "fasda/engine/observers.hpp"
@@ -313,15 +314,17 @@ TEST(BatchRunner, CustomBodyCanRebuildTheEngine) {
 // equivalence within the target's import tolerance. Reference imports
 // doubles exactly; functional/cycle quantize positions to the Q2.28 grid
 // (one quantum = cell_size·2⁻²⁸ < 1e-6 Å) and narrow velocities to float32.
-class CheckpointRoundTrip : public ::testing::TestWithParam<
-                                std::pair<const char*, const char*>> {};
+// The engine names are held as strings so the listed test names print them
+// rather than the run-dependent addresses of string literals.
+using EnginePair = std::pair<std::string, std::string>;
+class CheckpointRoundTrip : public ::testing::TestWithParam<EnginePair> {};
 
 TEST_P(CheckpointRoundTrip, RestartsWithinImportTolerance) {
   const auto [from, to] = GetParam();
   const auto state = make_state({3, 3, 3}, 8);
   const auto ff = md::ForceField::sodium();
-  const std::string path = ::testing::TempDir() + "engine_ckpt_" +
-                           std::string(from) + "_" + to + ".bin";
+  const std::string path =
+      ::testing::TempDir() + "engine_ckpt_" + from + "_" + to + ".bin";
 
   auto source = Registry::instance().create(state, ff, spec_for(from));
   CheckpointObserver checkpoint(path);
@@ -341,7 +344,7 @@ TEST_P(CheckpointRoundTrip, RestartsWithinImportTolerance) {
   auto target = Registry::instance().create(loaded, ff, spec_for(to));
   const auto imported = target->state();
   const auto grid = state.grid();
-  const bool exact = std::string(to) == "reference";
+  const bool exact = to == "reference";
   const double pos_tol = exact ? 0.0 : 1e-6;  // Å
   const double vel_tol = exact ? 0.0 : 1e-7;  // Å/fs, float32 narrowing
   ASSERT_EQ(imported.size(), saved.size());
@@ -358,12 +361,12 @@ TEST_P(CheckpointRoundTrip, RestartsWithinImportTolerance) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllPairs, CheckpointRoundTrip,
-    ::testing::Values(std::pair{"functional", "cycle"},
-                      std::pair{"cycle", "reference"},
-                      std::pair{"reference", "functional"},
-                      std::pair{"cycle", "functional"}),
+    ::testing::Values(EnginePair{"functional", "cycle"},
+                      EnginePair{"cycle", "reference"},
+                      EnginePair{"reference", "functional"},
+                      EnginePair{"cycle", "functional"}),
     [](const auto& info) {
-      return std::string(info.param.first) + "_to_" + info.param.second;
+      return info.param.first + "_to_" + info.param.second;
     });
 
 }  // namespace

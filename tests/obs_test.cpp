@@ -309,6 +309,90 @@ TEST(ObsTrace, ChromeJsonCarriesTrackMetadata) {
   EXPECT_NE(json.find("\"arg\":42"), std::string::npos);
 }
 
+constexpr const char* kPinnedTraceBus =
+    "{\"traceEvents\":[\n"
+    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":-1,\"tid\":0,\"args\":{\"name\":\"cluster\"}},\n"
+    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{\"name\":\"node0\"}},\n"
+    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"node1\"}},\n"
+    "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":-1,\"tid\":2,\"args\":{\"name\":\"net.pos\"}},\n"
+    "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{\"name\":\"fsm\"}},\n"
+    "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"sync\"}},\n"
+    "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":6,\"args\":{\"name\":\"scheduler\"}},\n"
+    "{\"name\":\"force\",\"cat\":\"fsm\",\"ph\":\"B\",\"ts\":10,\"pid\":0,\"tid\":0,\"args\":{\"cycle\":10}},\n"
+    "{\"name\":\"last-pos\",\"cat\":\"sync\",\"ph\":\"i\",\"s\":\"t\",\"ts\":11,\"pid\":1,\"tid\":1,\"args\":{\"cycle\":11}},\n"
+    "{\"name\":\"retransmit\",\"cat\":\"net.pos\",\"ph\":\"i\",\"s\":\"t\",\"ts\":12,\"pid\":-1,\"tid\":2,\"args\":{\"cycle\":12,\"seq\":-3}},\n"
+    "{\"name\":\"\",\"cat\":\"fsm\",\"ph\":\"E\",\"ts\":20,\"pid\":0,\"tid\":0},\n"
+    "{\"name\":\"window\",\"cat\":\"scheduler\",\"ph\":\"B\",\"ts\":21,\"pid\":1,\"tid\":6,\"args\":{\"cycle\":21}},\n"
+    "{\"name\":\"\",\"cat\":\"scheduler\",\"ph\":\"E\",\"ts\":21,\"pid\":1,\"tid\":6}\n"
+    "]}\n";
+
+// Byte-for-byte pin of the Chrome export on a fixed event set: cluster and
+// node tracks, a span closed at export time, an instant with and without
+// an extra argument.
+TEST(ObsTrace, ChromeJsonBytesArePinned) {
+  obs::TraceBus bus;
+  bus.ensure_nodes(2);
+  bus.begin(0, 0, obs::Comp::kFsm, "force", 10);
+  bus.instant(1, 1, obs::Comp::kSync, "last-pos", 11);
+  bus.instant(obs::kClusterShard, obs::kClusterPid, obs::Comp::kNetPos,
+              "retransmit", 12, "seq", -3);
+  bus.end(0, 0, obs::Comp::kFsm, 20);
+  bus.begin(1, 1, obs::Comp::kScheduler, "window", 21);
+  EXPECT_EQ(bus.to_chrome_json(), kPinnedTraceBus);
+}
+
+/// The ServeTrace export with every wall-clock "ts" value masked.
+std::string mask_ts(const std::string& json) {
+  std::string out;
+  std::size_t pos = 0;
+  for (;;) {
+    const std::size_t at = json.find("\"ts\":", pos);
+    if (at == std::string::npos) break;
+    out.append(json, pos, at + 5 - pos);
+    out += "T";
+    pos = at + 5;
+    while (pos < json.size() && json[pos] >= '0' && json[pos] <= '9') ++pos;
+  }
+  out.append(json, pos, std::string::npos);
+  return out;
+}
+
+constexpr const char* kPinnedServeTrace =
+    "{\"traceEvents\":[\n"
+    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"fasda_serve (wall clock)\"}},\n"
+    "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"server\"}},\n"
+    "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":7,\"args\":{\"name\":\"job 7\"}},\n"
+    "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":9,\"args\":{\"name\":\"job 9\"}},\n"
+    "{\"name\":\"incarnation-start\",\"ph\":\"i\",\"pid\":1,\"tid\":0,\"ts\":T,\"s\":\"t\",\"args\":{\"job\":0,\"span\":5}},\n"
+    "{\"name\":\"job\",\"ph\":\"B\",\"pid\":1,\"tid\":7,\"ts\":T,\"args\":{\"job\":7,\"span\":12345,\"tenant\":\"acme\"}},\n"
+    "{\"name\":\"queued\",\"ph\":\"B\",\"pid\":1,\"tid\":7,\"ts\":T,\"args\":{\"job\":7,\"span\":12345}},\n"
+    "{\"name\":\"queued\",\"ph\":\"E\",\"pid\":1,\"tid\":7,\"ts\":T,\"args\":{\"job\":7,\"span\":12345}},\n"
+    "{\"name\":\"job\",\"ph\":\"B\",\"pid\":1,\"tid\":9,\"ts\":T,\"args\":{\"job\":9,\"span\":777}},\n"
+    "{\"name\":\"checkpoint\",\"ph\":\"i\",\"pid\":1,\"tid\":7,\"ts\":T,\"s\":\"t\",\"args\":{\"job\":7,\"span\":12345,\"step\":40}},\n"
+    "{\"name\":\"job\",\"ph\":\"E\",\"pid\":1,\"tid\":9,\"ts\":T,\"args\":{\"job\":9,\"span\":777}},\n"
+    "{\"name\":\"job\",\"ph\":\"E\",\"pid\":1,\"tid\":7,\"ts\":T,\"args\":{\"job\":7,\"span\":12345}}\n"
+    "]}\n";
+
+TEST(ServeTrace, ChromeJsonBytesArePinnedUpToTimestamps) {
+  obs::ServeTrace trace;
+  trace.instant(0, 5, "incarnation-start");
+  trace.begin(7, 12345, "job", "acme");
+  trace.begin(7, 12345, "queued");
+  trace.end(7, 12345, "queued");
+  trace.begin(9, 777, "job");
+  trace.instant(7, 12345, "checkpoint", 40, "step");
+  EXPECT_EQ(mask_ts(trace.to_chrome_json()), kPinnedServeTrace);
+}
+
+// Tenants are client-chosen: quotes, backslashes and control characters
+// must come out escaped, never dropped or raw.
+TEST(ServeTrace, TenantIsJsonEscaped) {
+  obs::ServeTrace trace;
+  trace.begin(1, 1, "job", "q\"t\\x\n");
+  EXPECT_NE(trace.to_chrome_json().find("\"tenant\":\"q\\\"t\\\\x\\n\""),
+            std::string::npos);
+}
+
 // --------------------------------------------------------- log sink capture
 
 TEST(ObsLog, SinkCapturesFormattedLines) {

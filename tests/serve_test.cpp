@@ -516,6 +516,39 @@ TEST(ServeObs, StatsServesJsonAndPrometheusAfterMixedWorkload) {
   server.drain_and_stop();
 }
 
+// Tenant names are client-chosen and become metric names: a quote, a
+// backslash or a control character in one must not break the kStats JSON.
+TEST(ServeObs, StatsJsonEscapesHostileTenantNames) {
+  ServerConfig config = test_config();
+  config.queue_workers = 1;
+  Server server(config);
+  server.start();
+  Client client("127.0.0.1", server.port());
+
+  const std::string tenant = "q\"t\\x\n";
+  JobRequest req = small_functional_job();
+  req.replicas = 1;
+  req.tenant = tenant;
+  const auto reply = client.submit(req);
+  ASSERT_TRUE(reply.accepted) << reply.reason;
+  EXPECT_EQ(client.wait_result(reply.job_id).outcome, JobOutcome::kOk);
+
+  std::string error;
+  const auto v = json::parse(client.stats("json"), &error);
+  ASSERT_TRUE(v.has_value()) << error;
+  const json::Value* metrics = v->find("wall")->find("metrics");
+  ASSERT_NE(metrics, nullptr);
+  const json::Value* counter = nullptr;
+  for (const json::Value& m : metrics->items) {
+    if (m.find("name")->str_or("") == "serve.tenant." + tenant + ".submitted") {
+      counter = &m;
+    }
+  }
+  ASSERT_NE(counter, nullptr);
+  EXPECT_EQ(counter->find("total")->int_or(-1), 1);
+  server.drain_and_stop();
+}
+
 // A bad format is a typed rejection (connection stays usable), and the
 // stats surface keeps answering while the daemon drains — exactly when an
 // operator most wants a scrape to work.
