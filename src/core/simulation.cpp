@@ -9,7 +9,7 @@
 #include "fasda/md/energy.hpp"
 #include "fasda/obs/obs.hpp"
 #include "fasda/shard/transport.hpp"
-#include "fasda/sim/parallel_scheduler.hpp"
+#include "fasda/sim/kernel.hpp"
 
 namespace fasda::core {
 
@@ -87,11 +87,9 @@ Simulation::Simulation(const md::SystemState& state, md::ForceField ff,
           "Simulation: bulk_barrier_latency must be >= 1 with parallel "
           "workers");
     }
-    scheduler_ = std::make_unique<sim::ParallelScheduler>(
-        static_cast<std::size_t>(num_workers_));
-  } else {
-    scheduler_ = std::make_unique<sim::Scheduler>();
   }
+  scheduler_ =
+      std::make_unique<sim::Scheduler>(static_cast<std::size_t>(num_workers_));
   scheduler_->set_tick_mode(sim::resolve_tick_mode(config.tick_mode));
 
   model_ = std::make_unique<pe::ForceModel>(ff_, config.cutoff, config.table,
@@ -215,10 +213,10 @@ void Simulation::run(int iterations) {
   limits.watchdog_budget = config_.watchdog_budget;
   limits.fault_aware = config_.faults.has_value();
   try {
-    // The transport arms the nodes and drives the run: in-process this is
-    // the historical Scheduler::run_until loop verbatim; with worker
-    // processes it is the lock-step round protocol (DESIGN.md §14). Both
-    // throw the same typed errors with identical detection cycles.
+    // The transport arms the nodes and drives the run: both transports run
+    // the one cycle loop and health check — in-process over the scheduler's
+    // own steps, with worker processes through lock-step rounds (DESIGN.md
+    // §14) — so both throw the same typed errors at the same cycles.
     transport_->run(iterations, limits);
   } catch (const sync::NodeFailureError& e) {
     // Mark the detection on the health track before the failure unwinds, so

@@ -11,8 +11,7 @@
 // ShardTransport makes that boundary explicit and pluggable:
 //
 //   InProcTransport — all shards in one address space, driven by
-//     Scheduler::run_until exactly as before (zero-copy, bit-for-bit the
-//     historical behaviour, including the thread-parallel scheduler).
+//     Scheduler::run_until (zero-copy, at any scheduler thread count).
 //   ProcTransport — one forked worker process per shard slice; the same
 //     four interactions move over socketpairs using the net/wire.hpp packet
 //     encoding plus the frames.hpp control framing. Bitwise identical to
@@ -20,16 +19,21 @@
 //     serial: every cross-shard effect is >= 1 cycle delayed, so shipping
 //     it between cycles cannot change what any tick reads.
 //
-// core::Simulation constructs one transport at the end of its constructor
-// and drives every run() through it.
+// Both run the one cycle loop (sim::drive_until) and the one health check
+// below (check_health, watchdog_wake): in-process over live nodes, by
+// process over the NodeStatuses the workers ship. core::Simulation
+// constructs one transport at the end of its constructor and drives every
+// run() through it.
 
 #include <sys/types.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fasda/fpga/node.hpp"
@@ -73,7 +77,7 @@ struct ClusterRefs {
 
 /// One node's health sample, shipped worker→parent after every state
 /// change (arm, jump, executed cycle) so the parent's between-cycles health
-/// check reads exactly what the in-process done() predicate would.
+/// check reads exactly what the in-process one reads from live nodes.
 struct NodeStatus {
   bool done = false;
   sim::Cycle heartbeat = 0;
@@ -83,6 +87,86 @@ struct NodeStatus {
   net::DegradedLink degraded{};
   std::string degraded_channel;
 };
+
+/// Health reads, overloaded for a live node (in-process) and a shipped
+/// status (process workers). Strings are read as const char* so the
+/// in-process check builds none.
+struct NodeHealth {
+  bool done = false;
+  sim::Cycle heartbeat = 0;
+  const char* phase = "";
+};
+inline NodeHealth health_of(const std::unique_ptr<fpga::FpgaNode>& node) {
+  return {node->done(), node->last_heartbeat(), node->phase_name()};
+}
+inline NodeHealth health_of(const NodeStatus& s) {
+  return {s.done, s.heartbeat, s.phase.c_str()};
+}
+inline std::optional<std::pair<net::DegradedLink, const char*>> degraded_of(
+    const std::unique_ptr<fpga::FpgaNode>& node) {
+  return node->degraded_link();
+}
+inline std::optional<std::pair<net::DegradedLink, const char*>> degraded_of(
+    const NodeStatus& s) {
+  if (!s.has_degraded) return std::nullopt;
+  return std::make_pair(s.degraded, s.degraded_channel.c_str());
+}
+
+/// The between-cycles health check both transports run, over the nodes in
+/// id order (`nodes[i]` is node i). Returns true once every node is done.
+/// Check order: degraded links in ascending node order — a link whose peer
+/// has been heartbeat-silent past kNodeSilenceSlack is the peer's
+/// NodeFailureError, not the wire's DegradedLinkError — then the watchdog,
+/// then completion.
+template <class Nodes>
+bool check_health(const Nodes& nodes, sim::Cycle now, const RunLimits& limits) {
+  if (limits.fault_aware) {
+    for (const auto& node : nodes) {
+      const auto deg = degraded_of(node);
+      if (!deg) continue;
+      const int dst = deg->first.dst;
+      const NodeHealth peer =
+          health_of(nodes.at(static_cast<std::size_t>(dst)));
+      const sim::Cycle silent = now - peer.heartbeat;
+      if (!peer.done && silent > kNodeSilenceSlack) {
+        throw sync::NodeFailureError(dst, peer.phase, silent, now);
+      }
+      throw sync::DegradedLinkError(deg->first, deg->second);
+    }
+  }
+  bool all_done = true;
+  for (std::size_t id = 0; id < nodes.size(); ++id) {
+    const NodeHealth h = health_of(nodes[id]);
+    if (h.done) continue;
+    all_done = false;
+    const sim::Cycle silent = now - h.heartbeat;
+    if (limits.watchdog_budget > 0 && silent > limits.watchdog_budget) {
+      throw sync::NodeFailureError(static_cast<int>(id), h.phase, silent, now);
+    }
+  }
+  return all_done;
+}
+
+/// The watchdog's external wake for the cycle loop (empty when the watchdog
+/// is off). Elision windows must not sail past the cycle where the watchdog
+/// would fire: a crashed node's heartbeat freezes while every surviving
+/// component sleeps, so the deadline is external to the component oracle.
+/// Live nodes' heartbeats advance through skips, pushing the bound ahead.
+/// `nodes` and `limits` must outlive the returned function.
+template <class Nodes>
+sim::ExternalWake watchdog_wake(const Nodes& nodes, const RunLimits& limits) {
+  if (limits.watchdog_budget == 0) return {};
+  return [&nodes, &limits](sim::Cycle) {
+    sim::Cycle bound = sim::kNeverCycle;
+    for (const auto& node : nodes) {
+      const NodeHealth h = health_of(node);
+      if (!h.done) {
+        bound = std::min(bound, h.heartbeat + limits.watchdog_budget + 1);
+      }
+    }
+    return bound;
+  };
+}
 
 /// Post-run image of everything core::Simulation's report accessors read
 /// from live objects in the in-process case. Particle positions/velocities

@@ -7,6 +7,11 @@
 // Because reads never observe same-cycle writes, results are independent of
 // the order components are ticked in — the same property RTL gets from
 // edge-triggered registers.
+//
+// The cluster advances through one loop, drive_until, for every tick mode
+// and both shard transports. Scheduler supplies its in-process steps and
+// runs each cycle body, serially or fanned out over its own thread pool;
+// the process transport drives the same loop through remote steps.
 
 #include <algorithm>
 #include <atomic>
@@ -21,6 +26,7 @@
 #include <vector>
 
 #include "fasda/obs/obs.hpp"
+#include "fasda/util/thread_pool.hpp"
 
 namespace fasda::sim {
 
@@ -230,16 +236,21 @@ inline constexpr ShardId kGlobalShard = -1;
 inline constexpr std::uint32_t kHotStreak = 4;
 inline constexpr std::uint32_t kHotProbePeriod = 64;
 
-/// How Scheduler::run_until drives the cluster.
-///   kElide    — idle-cycle elision: skip globally-dead windows outright and
-///               skip the tick of individually-idle components inside
+/// How the cycle loop (drive_until) advances the cluster. Every mode runs
+/// the same loop; the mode picks only its loop-top step and cycle body.
+///   kElide    — idle-cycle elision: the loop top sweeps wakes, so
+///               globally-dead windows are jumped outright and the elided
+///               body skips the tick of individually-idle components inside
 ///               executed cycles. Bitwise identical to kNaive by the
 ///               next_wake contract (DESIGN.md §13).
-///   kNaive    — tick every component every cycle (the pre-elision loop and
-///               the FASDA_NAIVE_TICK escape hatch).
-///   kValidate — tick naively but audit the elision oracle each cycle:
-///               counts cycles the oracle would have skipped (idle wakes)
-///               and oracle violations (mispredicts, must stay zero).
+///   kNaive    — tick every component every cycle: the loop top returns
+///               `now` and the naive body shares no elision logic, so it
+///               stays the differential reference (and the FASDA_NAIVE_TICK
+///               escape hatch).
+///   kValidate — the naive body, but the loop top audits the elision oracle
+///               each cycle: counts cycles the oracle would have skipped
+///               (idle wakes) and oracle violations (mispredicts, must stay
+///               zero).
 enum class TickMode { kElide, kNaive, kValidate };
 
 /// FASDA_NAIVE_TICK (set and not "0") overrides any configured mode with
@@ -276,28 +287,134 @@ struct ElisionStats {
   std::uint64_t mispredicts = 0;
 };
 
-/// Serial cycle driver, and the interface parallel drivers implement.
-/// Ticks every component in registration order, then commits every clocked
-/// element. The two-phase contract makes results independent of tick order,
-/// so subclasses are free to reorder or parallelize — see
-/// sim/parallel_scheduler.hpp for the node-sharded implementation.
+/// External wake bound for the cycle loop: earliest cycle at which the
+/// done() predicate could change outcome for reasons no component reports
+/// itself (in practice the watchdog trip deadline, which depends on
+/// heartbeat silence rather than on any component's own pending work).
+using ExternalWake = std::function<Cycle(Cycle)>;
+
+/// The cycle loop (DESIGN.md §13, §14), written once for every tick mode
+/// and both shard transports. Runs until done() is true (checked between
+/// cycles) or the budget is exhausted and returns the cycle count at exit;
+/// throws on budget overrun so deadlocks in the model fail loudly.
+/// `Driver` supplies the steps — Scheduler in-process, the process
+/// transport's remote steps over its workers:
+///
+///   cycle()             the current cycle;
+///   driver_begin_run()  run entry;
+///   driver_loop_top()   earliest wake >= cycle(); <= cycle() executes;
+///   driver_jump(to)     skips the globally dead window [cycle(), to);
+///   driver_execute()    runs one cycle;
+///   driver_finish()     settles deferred bookkeeping, on both exits.
+///
+/// Elision safety: done() is evaluated only between executed cycles and at
+/// skip-window boundaries. That is equivalent to the naive every-cycle
+/// check because done() reads only state that changes on executed cycles —
+/// except the watchdog silence clock, whose trip cycles the caller folds
+/// in through `external_wake` so windows never straddle a trip. When done()
+/// throws (watchdog, link degradation) the scheduler span stays open and is
+/// closed at the trace high-water mark by the next epoch or the export.
+template <class Driver>
+Cycle drive_until(Driver& d, obs::Hub* hub, const std::function<bool()>& done,
+                  Cycle max_cycles, const ExternalWake& external_wake) {
+  if (hub != nullptr) {
+    hub->trace().begin(obs::kClusterShard, obs::kClusterPid,
+                       obs::Comp::kScheduler, "run-until", d.cycle());
+  }
+  try {
+    d.driver_begin_run();
+    while (!done()) {
+      const Cycle now = d.cycle();
+      if (now >= max_cycles) {
+        throw std::runtime_error("Scheduler::run_until exceeded cycle budget");
+      }
+      Cycle wake = d.driver_loop_top();
+      if (wake > now && external_wake) {
+        wake = std::min(wake, external_wake(now));
+      }
+      if (wake > now) {
+        // Globally dead window [now, wake): no tick can change state, so
+        // jump. Clamping to the budget keeps the overrun throw at the same
+        // cycle the naive loop reaches it.
+        d.driver_jump(std::min(wake, max_cycles));
+      } else {
+        d.driver_execute();
+      }
+    }
+  } catch (...) {
+    d.driver_finish();
+    throw;
+  }
+  d.driver_finish();
+  if (hub != nullptr) {
+    hub->trace().end(obs::kClusterShard, obs::kClusterPid,
+                     obs::Comp::kScheduler, d.cycle());
+    hub->metrics().set(obs::kClusterNode, hub->metrics().gauge("sched.cycles"),
+                       static_cast<double>(d.cycle()));
+  }
+  return d.cycle();
+}
+
+/// The cycle driver. Components register tagged with a ShardId (one shard
+/// per FPGA node). Every cycle is one two-phase fan-out over the shard
+/// groups on an owned ThreadPool:
+///
+///   phase 1 (tick):   global components tick on the caller, then shards
+///                     tick concurrently, one participant per contiguous
+///                     shard range;
+///   -- barrier --     every tick completes before any state commits;
+///   phase 2 (commit): shards commit concurrently, then global clocked
+///                     elements (the net::Fabric instances) commit on the
+///                     caller.
+///
+/// At one thread the fan-out runs inline on the caller. Why more threads
+/// are *bitwise identical*: the tick/commit contract guarantees ticks read
+/// only state committed in earlier cycles, so tick order within a cycle is
+/// immaterial — concurrent ticks are just one more order. The only
+/// cross-shard mutable state is in kGlobalShard elements, which stage
+/// writes during tick (per-source, so writers never share a slot) and apply
+/// them single-threaded on the caller. Per-shard UtilCounters live inside
+/// the shard's own components and are only merged at report time, after
+/// run_until returns.
+///
+/// What a shard-tagged component must never do in tick(): read or write
+/// another shard's components, pop/push a Fifo owned by another shard, or
+/// touch any shared element that is not two-phase. Cross-node traffic must
+/// flow through a kGlobalShard Fabric.
 class Scheduler {
  public:
-  Scheduler() = default;
-  virtual ~Scheduler() = default;
+  /// `threads` caps the worker count; shards are statically chunked over
+  /// min(threads, num_shards) participants. 0 and 1 both run the fan-out
+  /// inline on the caller (no pool threads).
+  explicit Scheduler(std::size_t threads = 1) : pool_(threads) {}
 
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  /// `shard` is advisory: the serial scheduler ignores it; parallel
-  /// schedulers run same-shard registrants on the same worker. (Non-virtual
-  /// wrappers keep the default argument out of the virtual interface.)
-  void add(Component* c, ShardId shard = kGlobalShard) { add_impl(c, shard); }
+  void add(Component* c, ShardId shard = kGlobalShard) {
+    if (shard == kGlobalShard) {
+      global_components_.push_back(c);
+      return;
+    }
+    ShardGroup& g = group_at(shard);
+    if (c->eager_idle()) {
+      g.components.insert(
+          g.components.begin() + static_cast<std::ptrdiff_t>(g.eager), c);
+      ++g.eager;
+    } else {
+      g.components.push_back(c);
+    }
+  }
   void add_clocked(Clocked* c, ShardId shard = kGlobalShard) {
-    add_clocked_impl(c, shard);
+    if (shard == kGlobalShard) {
+      global_clocked_.push_back(c);
+    } else {
+      group_at(shard).clocked.push_back(c);
+    }
   }
 
   Cycle cycle() const { return cycle_; }
+  std::size_t num_shards() const { return groups_.size(); }
 
   /// Telemetry hub (nullable; null is the disabled path). Attach after
   /// registration is complete and never mid-run; run_until brackets each
@@ -308,9 +425,24 @@ class Scheduler {
   void set_obs(obs::Hub* hub) { obs_ = hub; }
   obs::Hub* obs() const { return obs_; }
 
-  virtual void run_cycle() {
-    for (Component* c : components_) c->tick(cycle_);
-    for (Clocked* c : clocked_) c->commit();
+  /// One naive cycle: every component ticks, then every clocked element
+  /// commits. The kNaive and kValidate cycle body; also driven directly by
+  /// component tests.
+  void run_cycle() {
+    const Cycle now = cycle_;
+    for (Component* c : global_components_) c->tick(now);
+    fan_out(
+        [this](Cycle now, std::size_t lo, std::size_t hi) {
+          for (std::size_t s = lo; s < hi; ++s) {
+            for (Component* c : groups_[s].components) c->tick(now);
+          }
+        },
+        [this](Cycle, std::size_t lo, std::size_t hi) {
+          for (std::size_t s = lo; s < hi; ++s) {
+            for (Clocked* c : groups_[s].clocked) c->commit();
+          }
+        });
+    for (Clocked* c : global_clocked_) c->commit();
     ++cycle_;
   }
 
@@ -345,58 +477,18 @@ class Scheduler {
     }
   }
 
-  /// External wake bound for run_until: earliest cycle at which the done()
-  /// predicate could change outcome for reasons no component reports itself
-  /// (in practice the watchdog trip deadline, which depends on heartbeat
-  /// silence rather than on any component's own pending work).
-  using ExternalWake = std::function<Cycle(Cycle)>;
-
-  /// Runs until done() is true (checked between cycles) or the budget is
-  /// exhausted; returns the cycle count at exit. Throws on budget overrun so
-  /// deadlocks in the model fail loudly. When done() throws (watchdog, link
-  /// degradation) the scheduler span stays open and is closed at the trace
-  /// high-water mark by the next epoch or the export.
-  ///
-  /// Elision safety: done() is evaluated only between executed cycles and at
-  /// skip-window boundaries. That is equivalent to the naive every-cycle
-  /// check because done() reads only state that changes on executed cycles —
-  /// except the watchdog silence clock, whose trip cycles the caller folds
-  /// in through `external_wake` so windows never straddle a trip.
+  /// Drives this scheduler's own steps through drive_until.
   Cycle run_until(const std::function<bool()>& done, Cycle max_cycles,
                   const ExternalWake& external_wake = {}) {
-    if (obs_ != nullptr) {
-      obs_->trace().begin(obs::kClusterShard, obs::kClusterPid,
-                          obs::Comp::kScheduler, "run-until", cycle_);
-    }
-    switch (mode_) {
-      case TickMode::kNaive:
-        run_until_naive(done, max_cycles);
-        break;
-      case TickMode::kElide:
-        run_until_elided(done, max_cycles, external_wake);
-        break;
-      case TickMode::kValidate:
-        run_until_validate(done, max_cycles, external_wake);
-        break;
-    }
-    if (obs_ != nullptr) {
-      obs_->trace().end(obs::kClusterShard, obs::kClusterPid,
-                        obs::Comp::kScheduler, cycle_);
-      obs_->metrics().set(obs::kClusterNode,
-                          obs_->metrics().gauge("sched.cycles"),
-                          static_cast<double>(cycle_));
-    }
-    return cycle_;
+    return drive_until(*this, obs_, done, max_cycles, external_wake);
   }
 
-  // ------------------------------------------------ shard-transport driver
-  // The elided loop decomposed into externally drivable phases (DESIGN.md
-  // §14). A shard::ProcTransport worker process owns a contiguous slice of
-  // the shard groups and is driven cycle-by-cycle by its parent: begin-run,
-  // then per round loop-top (sweep, returns the min wake over the owned
-  // slice), either a window jump or one executed cycle, and a finishing
-  // jump+flush. run_until drives the same phases in-process over the full
-  // group range, so the two paths cannot diverge.
+  // ------------------------------------------------------- driver steps
+  // The drive_until steps over the owned group slice (DESIGN.md §14), each
+  // aware of the tick mode. run_until drives them in-process over every
+  // group; a shard::ProcTransport worker narrows the slice and its parent
+  // drives them remotely through the same drive_until, so the two paths
+  // cannot diverge.
 
   /// Restricts every sharded loop (sweeps, ticks, commits, flushes, stats)
   /// to groups [begin, end). Global components/clocked stay included — a
@@ -406,9 +498,10 @@ class Scheduler {
     own_end_ = end;
   }
 
-  /// Mirrors the run_until_elided entry: arbitrary state may have changed
-  /// since the last run (loaders, node arming), so mark every owned group
-  /// awake for a total first sweep, and force the first hot probe.
+  /// Run entry. Arbitrary state may have changed since the last run
+  /// (loaders, node arming), so every owned group is marked awake for a
+  /// total first sweep and the first hot probe is forced; the kValidate
+  /// audit restarts its quiet horizon. Only kElide reads the group state.
   void driver_begin_run() {
     const auto [lo, hi] = owned_range();
     for (std::size_t i = lo; i < hi; ++i) {
@@ -419,14 +512,25 @@ class Scheduler {
       g.probe_in = 0;
     }
     poke_all_.store(kNeverCycle, std::memory_order_relaxed);
+    quiet_until_ = cycle_;
   }
 
-  /// Loop top at now == cycle_: drains pokes, sweeps global components,
-  /// flushes and re-sweeps due groups (with the busy-shard fast path), opens
-  /// deferred windows for groups that fall asleep, and returns the earliest
-  /// wake over the owned slice.
+  /// Loop top at now == cycle_. kNaive returns `now`; kValidate audits the
+  /// oracle, then returns `now`. kElide drains pokes, sweeps global
+  /// components, flushes and re-sweeps due groups (with the busy-shard fast
+  /// path), opens deferred windows for groups that fall asleep, and returns
+  /// the earliest wake over the owned slice.
   Cycle driver_loop_top() {
     const Cycle now = cycle_;
+    switch (mode_) {
+      case TickMode::kNaive:
+        return now;
+      case TickMode::kValidate:
+        audit_oracle();
+        return now;
+      case TickMode::kElide:
+        break;
+    }
     const auto [lo, hi] = owned_range();
     // Fold worker-thread pokes (barrier releases) into every group.
     const Cycle poke =
@@ -436,12 +540,8 @@ class Scheduler {
         groups_[i].wake = std::min(groups_[i].wake, poke);
       }
     }
-    Cycle wake = kNeverCycle;
-    for (Component* c : global_components_) {
-      const Cycle w = c->next_wake(now);
-      c->set_sched_wake(w);
-      wake = std::min(wake, w);
-    }
+    std::size_t idle = 0;
+    Cycle wake = sweep(global_components_, now, idle);
     for (std::size_t i = lo; i < hi; ++i) {
       ShardGroup& g = groups_[i];
       if (g.hot) {
@@ -480,7 +580,8 @@ class Scheduler {
 
   /// Jumps the clock over a globally dead window [cycle_, to): sleeping
   /// groups' deferred windows absorb it, only global components and the
-  /// eager prefixes replay it directly.
+  /// eager prefixes replay it directly. Reached in kElide only — the other
+  /// loop tops never report a future wake.
   void driver_jump(Cycle to) {
     const Cycle now = cycle_;
     const auto [lo, hi] = owned_range();
@@ -495,47 +596,33 @@ class Scheduler {
     cycle_ = to;
   }
 
-  /// Executes one elided cycle: stats accounting over the owned slice, then
-  /// the selective tick/commit fan-out.
+  /// Executes one cycle: the naive body in kNaive and kValidate; in kElide
+  /// the skip accounting over the owned slice, then the elided body.
   void driver_execute() {
-    const auto [lo, hi] = owned_range();
-    for (std::size_t i = lo; i < hi; ++i) {
-      const ShardGroup& g = groups_[i];
-      if (g.wake > cycle_) {
-        stats_.component_idle_skips += g.components.size();
-        ++stats_.shard_sleep_cycles;
-      } else {
-        stats_.component_idle_skips += g.idle;
+    if (mode_ == TickMode::kElide) {
+      const auto [lo, hi] = owned_range();
+      for (std::size_t i = lo; i < hi; ++i) {
+        const ShardGroup& g = groups_[i];
+        if (g.wake > cycle_) {
+          stats_.component_idle_skips += g.components.size();
+          ++stats_.shard_sleep_cycles;
+        } else {
+          stats_.component_idle_skips += g.idle;
+        }
       }
+      run_cycle_elided();
+    } else {
+      run_cycle();
     }
-    run_cycle_elided();
     ++stats_.executed_cycles;
   }
 
-  /// Executes one naive cycle over the owned slice (the worker-side
-  /// FASDA_NAIVE_TICK path; the in-process naive loop keeps using
-  /// run_cycle over the flat registration order).
-  void driver_execute_naive() {
-    const Cycle now = cycle_;
+  /// Run exit, normal or unwinding: flushes every open deferred idle window
+  /// so utilization counters observed after the run match the naive
+  /// schedule exactly. Outside kElide no window is ever open.
+  void driver_finish() {
     const auto [lo, hi] = owned_range();
-    for (Component* c : global_components_) c->tick(now);
-    for (std::size_t i = lo; i < hi; ++i) {
-      for (Component* c : groups_[i].components) c->tick(now);
-    }
-    for (std::size_t i = lo; i < hi; ++i) {
-      for (Clocked* c : groups_[i].clocked) c->commit();
-    }
-    for (Clocked* c : global_clocked_) c->commit();
-    ++cycle_;
-    ++stats_.executed_cycles;
-  }
-
-  /// Settles a run at `at`: jumps any remaining window, then flushes every
-  /// open deferred idle window so post-run bookkeeping matches the naive
-  /// schedule (the worker-side equivalent of run_until's exit flush).
-  void driver_finish(Cycle at) {
-    if (cycle_ < at) driver_jump(at);
-    flush_deferred_idle();
+    for (std::size_t i = lo; i < hi; ++i) flush_group_idle(groups_[i], cycle_);
   }
 
   /// Global (unsharded) components cannot be split across worker processes;
@@ -544,7 +631,7 @@ class Scheduler {
     return global_components_.size();
   }
 
- protected:
+ private:
   /// One shard's slice of the registration, plus its sleep state. `wake` is
   /// the cached minimum of the members' swept wakes (folded with any poke);
   /// the group is awake when wake <= now. While a group sleeps its members
@@ -570,30 +657,6 @@ class Scheduler {
     std::uint32_t probe_in = 0;
   };
 
-  virtual void add_impl(Component* c, ShardId shard) {
-    components_.push_back(c);
-    if (shard == kGlobalShard) {
-      global_components_.push_back(c);
-      return;
-    }
-    ShardGroup& g = group_at(shard);
-    if (c->eager_idle()) {
-      g.components.insert(
-          g.components.begin() + static_cast<std::ptrdiff_t>(g.eager), c);
-      ++g.eager;
-    } else {
-      g.components.push_back(c);
-    }
-  }
-  virtual void add_clocked_impl(Clocked* c, ShardId shard) {
-    clocked_.push_back(c);
-    if (shard == kGlobalShard) {
-      global_clocked_.push_back(c);
-    } else {
-      group_at(shard).clocked.push_back(c);
-    }
-  }
-
   ShardGroup& group_at(ShardId shard) {
     if (shard < 0) throw std::invalid_argument("Scheduler: bad shard id");
     if (static_cast<std::size_t>(shard) >= groups_.size()) {
@@ -602,98 +665,119 @@ class Scheduler {
     return groups_[static_cast<std::size_t>(shard)];
   }
 
-  /// One cycle of the elided fast path. Awake groups run the selective
-  /// fan-out (tick components whose swept wake is due, replay single-cycle
-  /// idle bookkeeping for the rest) and commit their clocked elements;
-  /// sleeping groups replay only the eager prefix — no member can have
-  /// writes staged, because the sweep that put the group to sleep ran after
-  /// its last awake cycle's commits, so skipping the commits is exact.
-  /// run_cycle() is left untouched for direct (test) callers.
-  virtual void run_cycle_elided() {
+  /// The two-phase fan-out of cycle cycle_ over the owned slice:
+  /// tick(now, lo, hi), then commit(now, lo, hi), over contiguous group
+  /// ranges. At one thread both run inline on the caller (no allocation, no
+  /// lock); above it they run as pool_.parallel_phases chunks, whose
+  /// barrier orders every tick before any commit and the caller's
+  /// between-cycle writes (group wakes, wake caches) before both. `now`
+  /// travels by value so the per-member loops keep it in a register.
+  template <class Tick, class Commit>
+  void fan_out(const Tick& tick, const Commit& commit) {
     const Cycle now = cycle_;
     const auto [lo, hi] = owned_range();
-    for (Component* c : global_components_) {
-      if (c->sched_wake() <= now) {
-        c->tick(now);
-      } else {
-        c->skip_idle(now, now + 1);
-      }
+    if (pool_.size() == 1) {
+      tick(now, lo, hi);
+      commit(now, lo, hi);
+      return;
     }
-    for (std::size_t gi = lo; gi < hi; ++gi) {
-      ShardGroup& g = groups_[gi];
-      if (g.wake > now) {
-        for (std::size_t i = 0; i < g.eager; ++i) {
-          g.components[i]->skip_idle(now, now + 1);
-        }
-        continue;
-      }
-      if (g.hot) {
-        // Busy-shard fast path: the loop top skipped the sweep, so the
-        // per-member wake caches are stale — tick everyone. That is the
-        // naive schedule for this shard, hence bitwise identical.
-        for (Component* c : g.components) c->tick(now);
-        continue;
-      }
-      for (Component* c : g.components) {
-        if (c->sched_wake() <= now) {
-          c->tick(now);
-        } else {
-          c->skip_idle(now, now + 1);
-        }
-      }
-    }
-    for (std::size_t gi = lo; gi < hi; ++gi) {
-      ShardGroup& g = groups_[gi];
-      if (g.wake > now) continue;
-      for (Clocked* c : g.clocked) c->commit();
-    }
+    const std::size_t base = lo;
+    pool_.parallel_phases(
+        hi - lo,
+        [&](std::size_t, std::size_t b, std::size_t e) {
+          tick(now, base + b, base + e);
+        },
+        [&](std::size_t, std::size_t b, std::size_t e) {
+          commit(now, base + b, base + e);
+        });
+  }
+
+  /// One elided cycle. Awake groups tick members whose swept wake is due,
+  /// replay single-cycle idle bookkeeping for the rest, and commit; hot
+  /// groups tick everyone (the loop top skipped their sweep, so the wake
+  /// caches are stale — that is the naive schedule for the shard, hence
+  /// bitwise identical); sleeping groups replay only the eager prefix. No
+  /// sleeping member can have writes staged — the sweep that put the group
+  /// to sleep ran after its last awake cycle's commits — so skipping its
+  /// commits is exact.
+  void run_cycle_elided() {
+    for (Component* c : global_components_) tick_or_skip(c, cycle_);
+    fan_out(
+        [this](Cycle now, std::size_t lo, std::size_t hi) {
+          for (std::size_t s = lo; s < hi; ++s) {
+            ShardGroup& g = groups_[s];
+            if (g.wake > now) {
+              for (std::size_t i = 0; i < g.eager; ++i) {
+                g.components[i]->skip_idle(now, now + 1);
+              }
+            } else if (g.hot) {
+              for (Component* c : g.components) c->tick(now);
+            } else {
+              for (Component* c : g.components) tick_or_skip(c, now);
+            }
+          }
+        },
+        [this](Cycle now, std::size_t lo, std::size_t hi) {
+          for (std::size_t s = lo; s < hi; ++s) {
+            ShardGroup& g = groups_[s];
+            if (g.wake > now) continue;
+            for (Clocked* c : g.clocked) c->commit();
+          }
+        });
     for (Clocked* c : global_clocked_) c->commit();
     ++cycle_;
   }
 
-  [[noreturn]] static void throw_budget_overrun() {
-    throw std::runtime_error("Scheduler::run_until exceeded cycle budget");
-  }
-
-  void run_until_naive(const std::function<bool()>& done, Cycle max_cycles) {
-    while (!done()) {
-      if (cycle_ >= max_cycles) throw_budget_overrun();
-      run_cycle();
-      ++stats_.executed_cycles;
+  static void tick_or_skip(Component* c, Cycle now) {
+    if (c->sched_wake() <= now) {
+      c->tick(now);
+    } else {
+      c->skip_idle(now, now + 1);
     }
   }
 
-  /// Flat full sweep: every component's next_wake from post-commit state
-  /// (what the next tick would read), cached on the component; returns the
-  /// global minimum and counts components that sleep past `now`. The
-  /// kValidate audit uses this — the elided path sweeps per group so
-  /// sleeping shards cost nothing.
-  Cycle sweep_wakes() {
-    const Cycle now = cycle_;
+  /// Sweeps `cs` from post-commit state (what the next tick would read),
+  /// caching each member's wake for the selective fan-out; returns the
+  /// minimum and adds the members sleeping past `now` to `idle`.
+  static Cycle sweep(const std::vector<Component*>& cs, Cycle now,
+                     std::size_t& idle) {
     Cycle min_wake = kNeverCycle;
-    for (Component* c : components_) {
+    std::size_t sleepers = 0;
+    for (Component* c : cs) {
       const Cycle w = c->next_wake(now);
       c->set_sched_wake(w);
       if (w < min_wake) min_wake = w;
-      if (w > now) ++stats_.component_idle_skips;
+      if (w > now) ++sleepers;
     }
+    idle += sleepers;
     return min_wake;
   }
 
-  /// Re-sweeps one awake group from post-commit state, caching per-member
-  /// wakes for the selective fan-out and the group minimum for the sleep
+  /// Re-sweeps one awake group, caching the group minimum for the sleep
   /// decision.
   void sweep_group(ShardGroup& g, Cycle now) {
-    Cycle min_wake = kNeverCycle;
+    g.idle = 0;
+    g.wake = sweep(g.components, now, g.idle);
+  }
+
+  /// kValidate loop top: a full sweep of every owned component, audited
+  /// against the quiet horizon of earlier sweeps. It audits the component
+  /// oracle alone — external_wake only ever shortens skip windows, so it
+  /// cannot mask a mispredict and stays out of the horizon.
+  void audit_oracle() {
+    const Cycle now = cycle_;
     std::size_t idle = 0;
-    for (Component* c : g.components) {
-      const Cycle w = c->next_wake(now);
-      c->set_sched_wake(w);
-      if (w < min_wake) min_wake = w;
-      if (w > now) ++idle;
+    Cycle wake = sweep(global_components_, now, idle);
+    const auto [lo, hi] = owned_range();
+    for (std::size_t i = lo; i < hi; ++i) {
+      wake = std::min(wake, sweep(groups_[i].components, now, idle));
     }
-    g.wake = min_wake;
-    g.idle = idle;
+    stats_.component_idle_skips += idle;
+    if (now < quiet_until_ && wake <= now) ++stats_.mispredicts;
+    if (wake > now) {
+      ++stats_.idle_wakes;
+      quiet_until_ = std::max(quiet_until_, wake);
+    }
   }
 
   /// Flushes a waking group's deferred idle window: one count-preserving
@@ -709,14 +793,6 @@ class Scheduler {
     g.skip_from = kNeverCycle;
   }
 
-  /// Settles every open deferred window at run_until exit (normal or
-  /// unwinding), so utilization counters observed after the run match the
-  /// naive schedule exactly.
-  void flush_deferred_idle() {
-    const auto [lo, hi] = owned_range();
-    for (std::size_t i = lo; i < hi; ++i) flush_group_idle(groups_[i], cycle_);
-  }
-
   /// The owned slice of groups_, clamped to its current size (groups are
   /// created lazily during registration).
   std::pair<std::size_t, std::size_t> owned_range() const {
@@ -724,56 +800,6 @@ class Scheduler {
     return {std::min(own_begin_, hi), hi};
   }
 
-  void run_until_elided(const std::function<bool()>& done, Cycle max_cycles,
-                        const ExternalWake& external_wake) {
-    driver_begin_run();
-    try {
-      while (!done()) {
-        if (cycle_ >= max_cycles) throw_budget_overrun();
-        const Cycle now = cycle_;
-        Cycle wake = driver_loop_top();
-        if (external_wake) wake = std::min(wake, external_wake(now));
-        if (wake > now) {
-          // Globally dead window [now, wake): no ticks can change state, so
-          // jump. Clamping to the budget keeps the overrun throw at the
-          // same cycle the naive loop would reach it.
-          driver_jump(std::min(wake, max_cycles));
-          continue;
-        }
-        driver_execute();
-      }
-    } catch (...) {
-      flush_deferred_idle();
-      throw;
-    }
-    flush_deferred_idle();
-  }
-
-  void run_until_validate(const std::function<bool()>& done, Cycle max_cycles,
-                          const ExternalWake& external_wake) {
-    // Audits the component oracle alone: external_wake only ever shortens
-    // skip windows, so it cannot mask a mispredict and stays out of the
-    // predicted-quiet horizon.
-    (void)external_wake;
-    Cycle quiet_until = cycle_;
-    while (!done()) {
-      if (cycle_ >= max_cycles) throw_budget_overrun();
-      const Cycle wake = sweep_wakes();
-      if (cycle_ < quiet_until && wake <= cycle_) ++stats_.mispredicts;
-      if (wake > cycle_) {
-        ++stats_.idle_wakes;
-        if (wake > quiet_until) quiet_until = wake;
-      }
-      run_cycle();
-      ++stats_.executed_cycles;
-    }
-  }
-
-  // Flat registration order — the naive and validate paths drive these, and
-  // sweep_wakes audits over them.
-  std::vector<Component*> components_;
-  std::vector<Clocked*> clocked_;
-  // Sharded view — the elided paths (serial and parallel) drive these.
   std::vector<ShardGroup> groups_;  // indexed by ShardId
   std::vector<Component*> global_components_;
   std::vector<Clocked*> global_clocked_;
@@ -785,9 +811,12 @@ class Scheduler {
   std::size_t own_begin_ = 0;
   std::size_t own_end_ = std::numeric_limits<std::size_t>::max();
   Cycle cycle_ = 0;
+  /// kValidate: end of the predicted-quiet horizon of earlier sweeps.
+  Cycle quiet_until_ = 0;
   obs::Hub* obs_ = nullptr;
   TickMode mode_ = TickMode::kNaive;
   ElisionStats stats_;
+  util::ThreadPool pool_;
 };
 
 }  // namespace fasda::sim

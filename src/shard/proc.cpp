@@ -4,24 +4,25 @@
 // Each worker inherits the fully built cluster by fork (copy-on-write):
 // nodes, fabrics, barrier, scheduler — already wired, handles resolved,
 // particles loaded. The worker narrows its scheduler to the owned shard
-// groups and the parent drives the decomposed elided loop over frames:
+// groups; the parent runs the one cycle loop (sim::drive_until) and sends
+// each of its steps to every worker as a frame, which the worker answers
+// with the matching mode-aware Scheduler step:
 //
 //   kStart   arm owned nodes, begin-run            → kStatus
-//   kSweep   loop-top wake sweep                   → kWake
+//   kSweep   loop top (wake sweep in kElide)       → kWake
 //   kJump    jump a globally dead window           → kStatus
 //   kExec    execute one cycle (uplink capture)    → kReport
 //   kDeliver routed deliveries + barrier releases  → (no reply)
 //   kFinish  settle: flush deferred idle           → (no reply)
 //   kFold    end-of-run cluster fold               → kFoldData
 //
-// The parent evaluates the done()/health predicate between rounds from the
-// shipped statuses — the same reads, in the same node order, at the same
-// cycles as the in-process transport — so failures surface with identical
-// types, messages and detection cycles. Round ordering preserves the
-// two-phase contract: a cycle's captured deliveries are applied on the
-// destination side before any cycle later than their send executes, and
-// every arrival stamp is >= send + 1, so no tick can observe a difference
-// from the in-process delivery path.
+// Between rounds the parent runs the shared check_health over the shipped
+// statuses — the check the in-process transport runs over live nodes — so
+// failures surface with identical types, messages and detection cycles.
+// Round ordering preserves the two-phase contract: a cycle's captured
+// deliveries are applied on the destination side before any cycle later
+// than their send executes, and every arrival stamp is >= send + 1, so no
+// tick can observe a difference from the in-process delivery path.
 
 #include <sys/prctl.h>
 #include <sys/socket.h>
@@ -275,7 +276,6 @@ struct WorkerState {
   ClusterRefs r;
   Channel chan;
   int lo = 0, hi = 0;  ///< owned node range [lo, hi)
-  bool naive = false;
   std::vector<std::pair<net::Packet<net::PosRecord>, sim::Cycle>> pos_up;
   std::vector<std::pair<net::Packet<net::FrcRecord>, sim::Cycle>> frc_up;
   std::vector<std::pair<net::Packet<net::MigRecord>, sim::Cycle>> mig_up;
@@ -378,22 +378,20 @@ std::vector<std::uint8_t> fold_payload(const WorkerState& ws) {
             (*ws.r.nodes)[static_cast<std::size_t>(i)]->start(
                 iterations, ws.r.dt_fs, ws.r.cutoff, *ws.r.ff);
           }
-          if (!ws.naive) sched.driver_begin_run();
+          sched.driver_begin_run();
           ws.chan.send(FrameType::kStatus, owned_statuses(ws));
           break;
         }
         case FrameType::kSweep: {
           if (!r.done()) throw TransportError("bad kSweep payload");
-          const sim::Cycle wake =
-              ws.naive ? sched.cycle() : sched.driver_loop_top();
           ByteWriter out;
-          out.u64(wake);
+          out.u64(sched.driver_loop_top());
           ws.chan.send(FrameType::kWake, out.take());
           break;
         }
         case FrameType::kJump: {
           const sim::Cycle to = r.u64();
-          if (!r.done() || ws.naive || to <= sched.cycle()) {
+          if (!r.done() || to <= sched.cycle()) {
             throw TransportError("bad kJump target");
           }
           sched.driver_jump(to);
@@ -408,11 +406,7 @@ std::vector<std::uint8_t> fold_payload(const WorkerState& ws) {
           ws.pos_up.clear();
           ws.frc_up.clear();
           ws.mig_up.clear();
-          if (ws.naive) {
-            sched.driver_execute_naive();
-          } else {
-            sched.driver_execute();
-          }
+          sched.driver_execute();
           ByteWriter out;
           const std::vector<std::uint8_t> statuses = owned_statuses(ws);
           out.bytes(statuses.data(), statuses.size());
@@ -465,7 +459,7 @@ std::vector<std::uint8_t> fold_payload(const WorkerState& ws) {
         }
         case FrameType::kFinish: {
           if (!r.done()) throw TransportError("bad kFinish payload");
-          if (!ws.naive) sched.driver_finish(sched.cycle());
+          sched.driver_finish();
           break;  // no reply; kFold follows on the FIFO stream
         }
         case FrameType::kFold: {
@@ -505,16 +499,10 @@ class ProcTransport final : public ShardTransport {
           "shard: cluster registers global (unsharded) components; cannot "
           "split across worker processes");
     }
-    switch (r_.scheduler->tick_mode()) {
-      case sim::TickMode::kNaive:
-        naive_ = true;
-        break;
-      case sim::TickMode::kElide:
-        break;
-      case sim::TickMode::kValidate:
-        throw std::invalid_argument(
-            "shard: kValidate is incompatible with process workers (the "
-            "oracle audit is process-local)");
+    if (r_.scheduler->tick_mode() == sim::TickMode::kValidate) {
+      throw std::invalid_argument(
+          "shard: kValidate is incompatible with process workers (the "
+          "oracle audit is process-local)");
     }
     const int count = std::max(1, std::min(num_workers, n));
     statuses_.resize(static_cast<std::size_t>(n));
@@ -552,7 +540,6 @@ class ProcTransport final : public ShardTransport {
         ws.chan = Channel(fds[static_cast<std::size_t>(w)][1]);
         ws.lo = lo;
         ws.hi = hi;
-        ws.naive = naive_;
         worker_main(std::move(ws));  // never returns
       }
       if (pid < 0) {
@@ -610,38 +597,59 @@ class ProcTransport final : public ShardTransport {
   }
 
   void run(int iterations, const RunLimits& limits) override {
-    const sim::Cycle start = now_;
-    // Mirror of Scheduler::run_until's scheduler-track span: opened here,
-    // closed (plus the sched.cycles gauge) only on a normal return — an
-    // unwinding failure leaves the span open exactly like the in-process
-    // path does.
-    if (r_.obs != nullptr) {
-      r_.obs->trace().begin(obs::kClusterShard, obs::kClusterPid,
-                            obs::Comp::kScheduler, "run-until", start);
-    }
-    try {
-      ByteWriter w;
-      w.u32(static_cast<std::uint32_t>(iterations));
-      broadcast(FrameType::kStart, w.take());
-      collect_statuses();
-      drive(start + limits.max_cycles_per_iteration *
-                        static_cast<sim::Cycle>(iterations),
-            limits);
-    } catch (...) {
-      settle();
-      throw;
-    }
-    settle();
-    if (r_.obs != nullptr) {
-      r_.obs->trace().end(obs::kClusterShard, obs::kClusterPid,
-                          obs::Comp::kScheduler, now_);
-      r_.obs->metrics().set(obs::kClusterNode,
-                            r_.obs->metrics().gauge("sched.cycles"),
-                            static_cast<double>(now_));
-    }
+    RemoteDriver remote{*this, iterations};
+    sim::drive_until(
+        remote, r_.obs, [&] { return check_health(statuses_, now_, limits); },
+        now_ + limits.max_cycles_per_iteration *
+                   static_cast<sim::Cycle>(iterations),
+        watchdog_wake(statuses_, limits));
   }
 
  private:
+  /// The cycle loop's steps, run remotely: each sends one round frame to
+  /// every worker and collects the replies (the statuses check_health
+  /// reads, or the wakes the loop top folds).
+  struct RemoteDriver {
+    ProcTransport& t;
+    int iterations;
+
+    sim::Cycle cycle() const { return t.now_; }
+
+    void driver_begin_run() {
+      ByteWriter w;
+      w.u32(static_cast<std::uint32_t>(iterations));
+      t.broadcast(FrameType::kStart, w.take());
+      t.collect_statuses();
+    }
+
+    sim::Cycle driver_loop_top() {
+      t.broadcast(FrameType::kSweep, {});
+      sim::Cycle wake = sim::kNeverCycle;
+      for (auto& w : t.workers_) {
+        const Frame f = t.recv_from(w, FrameType::kWake);
+        ByteReader r(f.payload);
+        const sim::Cycle wv = r.u64();
+        if (!r.done()) {
+          w.dead = true;
+          throw t.worker_failure(w);
+        }
+        wake = std::min(wake, wv);
+      }
+      return wake;
+    }
+
+    void driver_jump(sim::Cycle to) {
+      ByteWriter jw;
+      jw.u64(to);
+      t.broadcast(FrameType::kJump, jw.take());
+      t.collect_statuses();
+      t.now_ = to;
+    }
+
+    void driver_execute() { t.exec_round(); }
+    void driver_finish() { t.settle(); }
+  };
+
   struct Worker {
     pid_t pid = -1;
     Channel chan;
@@ -706,89 +714,6 @@ class ProcTransport final : public ShardTransport {
 
   void collect_statuses() {
     for (auto& w : workers_) parse_statuses(recv_from(w, FrameType::kStatus), w);
-  }
-
-  bool all_done() const {
-    return std::all_of(statuses_.begin(), statuses_.end(),
-                       [](const NodeStatus& s) { return s.done; });
-  }
-
-  /// Byte-for-byte mirror of the in-process done() predicate: degraded
-  /// links in ascending node order (with the dead-peer reclassification),
-  /// then the watchdog, then completion — reading the shipped statuses
-  /// instead of live nodes.
-  void health_check(const RunLimits& limits) const {
-    const sim::Cycle now = now_;
-    if (limits.fault_aware) {
-      for (const NodeStatus& s : statuses_) {
-        if (!s.has_degraded) continue;
-        const NodeStatus& peer =
-            statuses_.at(static_cast<std::size_t>(s.degraded.dst));
-        const sim::Cycle silent = now - peer.heartbeat;
-        if (!peer.done && silent > kNodeSilenceSlack) {
-          throw sync::NodeFailureError(s.degraded.dst, peer.phase, silent,
-                                       now);
-        }
-        throw sync::DegradedLinkError(s.degraded, s.degraded_channel);
-      }
-    }
-    if (limits.watchdog_budget > 0) {
-      for (std::size_t id = 0; id < statuses_.size(); ++id) {
-        const NodeStatus& s = statuses_[id];
-        if (s.done) continue;
-        const sim::Cycle silent = now - s.heartbeat;
-        if (silent > limits.watchdog_budget) {
-          throw sync::NodeFailureError(static_cast<int>(id), s.phase, silent,
-                                       now);
-        }
-      }
-    }
-  }
-
-  sim::Cycle watchdog_bound(const RunLimits& limits) const {
-    sim::Cycle bound = sim::kNeverCycle;
-    for (const NodeStatus& s : statuses_) {
-      if (s.done) continue;
-      bound = std::min(bound, s.heartbeat + limits.watchdog_budget + 1);
-    }
-    return bound;
-  }
-
-  void drive(const sim::Cycle budget, const RunLimits& limits) {
-    for (;;) {
-      health_check(limits);
-      if (all_done()) return;
-      if (now_ >= budget) {
-        // Same type and message the in-process scheduler throws.
-        throw std::runtime_error(
-            "Scheduler::run_until exceeded cycle budget");
-      }
-      broadcast(FrameType::kSweep, {});
-      sim::Cycle wake = sim::kNeverCycle;
-      for (auto& w : workers_) {
-        const Frame f = recv_from(w, FrameType::kWake);
-        ByteReader r(f.payload);
-        const sim::Cycle wv = r.u64();
-        if (!r.done()) {
-          w.dead = true;
-          throw worker_failure(w);
-        }
-        wake = std::min(wake, wv);
-      }
-      if (limits.watchdog_budget > 0) {
-        wake = std::min(wake, watchdog_bound(limits));
-      }
-      if (wake > now_) {
-        const sim::Cycle to = std::min(wake, budget);
-        ByteWriter jw;
-        jw.u64(to);
-        broadcast(FrameType::kJump, jw.take());
-        collect_statuses();
-        now_ = to;
-        continue;
-      }
-      exec_round();
-    }
   }
 
   void exec_round() {
@@ -1031,7 +956,6 @@ class ProcTransport final : public ShardTransport {
   }
 
   ClusterRefs r_;
-  bool naive_ = false;
   std::vector<Worker> workers_;
   std::vector<int> owner_of_;  ///< node id -> worker index
   std::vector<NodeStatus> statuses_;

@@ -1,4 +1,4 @@
-// The determinism guarantee behind sim::ParallelScheduler: node-sharded
+// The determinism guarantee behind sim::Scheduler(threads): node-sharded
 // parallel execution must be *bitwise identical* to serial execution — same
 // particle state, same forces, same cycle counts, same traffic matrices —
 // for every cluster shape, sync mode, straggler pattern and thread count.
@@ -14,7 +14,7 @@
 
 #include "fasda/core/simulation.hpp"
 #include "fasda/md/dataset.hpp"
-#include "fasda/sim/parallel_scheduler.hpp"
+#include "fasda/sim/kernel.hpp"
 
 namespace fasda {
 namespace {
@@ -95,7 +95,7 @@ TEST(ParallelScheduler, MatchesSerialOnShardedPipelines) {
   sim::Scheduler serial;
   const auto want = run_pipelines(serial, 7, 50);
   for (std::size_t threads : {1u, 2u, 4u, 16u}) {
-    sim::ParallelScheduler parallel(threads);
+    sim::Scheduler parallel(threads);
     EXPECT_EQ(run_pipelines(parallel, 7, 50), want) << "threads=" << threads;
     EXPECT_EQ(parallel.cycle(), serial.cycle());
     EXPECT_EQ(parallel.num_shards(), 7u);
@@ -103,7 +103,7 @@ TEST(ParallelScheduler, MatchesSerialOnShardedPipelines) {
 }
 
 TEST(ParallelScheduler, GlobalShardElementsRunOnTheDriver) {
-  sim::ParallelScheduler s(4);
+  sim::Scheduler s(4);
   sim::Fifo<int> global_fifo(8);
   Feeder feeder(&global_fifo, 1);
   Collector collector(&global_fifo);
@@ -115,7 +115,7 @@ TEST(ParallelScheduler, GlobalShardElementsRunOnTheDriver) {
 }
 
 TEST(ParallelScheduler, RejectsNegativeShardIds) {
-  sim::ParallelScheduler s(2);
+  sim::Scheduler s(2);
   sim::Fifo<int> fifo(8);
   Collector c(&fifo);
   EXPECT_THROW(s.add(&c, -2), std::invalid_argument);

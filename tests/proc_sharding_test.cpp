@@ -244,6 +244,103 @@ TEST(ProcSharding, InjectedNodeCrashMatchesInProcessDetection) {
   EXPECT_EQ(failure_of(4), want);
 }
 
+/// The run-exit matrix every failure exit is pinned over: both transports,
+/// both the elided and the naive cycle body.
+struct ExitLeg {
+  int threads;
+  int procs;
+  sim::TickMode mode;
+};
+constexpr ExitLeg kExitLegs[] = {
+    {1, 0, sim::TickMode::kElide}, {4, 0, sim::TickMode::kElide},
+    {1, 2, sim::TickMode::kElide}, {1, 0, sim::TickMode::kNaive},
+    {4, 0, sim::TickMode::kNaive}, {1, 2, sim::TickMode::kNaive},
+};
+
+std::string leg_label(const ExitLeg& leg) {
+  return "threads=" + std::to_string(leg.threads) +
+         " procs=" + std::to_string(leg.procs) +
+         (leg.mode == sim::TickMode::kNaive ? " naive" : " elide");
+}
+
+// A dead wire must surface as the same DegradedLinkError — message, link
+// fields and detection cycle — whichever transport and cycle body ran.
+TEST(ProcSharding, DeadLinkExitMatchesAcrossTransportsAndModes) {
+  struct Exit {
+    std::string what;
+    net::DegradedLink link;
+    std::string channel;
+    sim::Cycle cycles = 0;
+  };
+  auto exit_of = [](const ExitLeg& leg) {
+    auto c = multi_node_config();
+    c.faults = net::FaultPlan{};
+    c.faults->per_link[{0, 1}].dead = true;
+    c.reliability.max_retries = 3;
+    c.num_worker_threads = leg.threads;
+    c.proc_workers = leg.procs;
+    c.tick_mode = leg.mode;
+    core::Simulation sim(make_state({4, 4, 4}), md::ForceField::sodium(), c);
+    Exit out;
+    try {
+      sim.run(1);
+      out.what = "no failure";
+    } catch (const sync::DegradedLinkError& e) {
+      out.what = e.what();
+      out.link = e.link();
+      out.channel = e.channel();
+    }
+    out.cycles = sim.total_cycles();
+    return out;
+  };
+
+  const Exit want = exit_of(kExitLegs[0]);
+  ASSERT_NE(want.what, "no failure");
+  EXPECT_EQ(want.link.src, 0);
+  EXPECT_EQ(want.link.dst, 1);
+  for (const ExitLeg& leg : kExitLegs) {
+    const Exit got = exit_of(leg);
+    const std::string label = leg_label(leg);
+    EXPECT_EQ(got.what, want.what) << label;
+    EXPECT_EQ(got.link.src, want.link.src) << label;
+    EXPECT_EQ(got.link.dst, want.link.dst) << label;
+    EXPECT_EQ(got.link.seq, want.link.seq) << label;
+    EXPECT_EQ(got.link.detected_at, want.link.detected_at) << label;
+    EXPECT_EQ(got.link.retries, want.link.retries) << label;
+    EXPECT_EQ(got.channel, want.channel) << label;
+    EXPECT_EQ(got.cycles, want.cycles) << label;
+  }
+}
+
+// Exhausting the cycle budget must throw the same std::runtime_error at the
+// same cycle on every leg (the elided loop clamps its jumps to the budget).
+TEST(ProcSharding, BudgetOverrunExitMatchesAcrossTransportsAndModes) {
+  auto exit_of = [](const ExitLeg& leg) {
+    auto c = multi_node_config();
+    c.max_cycles_per_iteration = 300;
+    c.num_worker_threads = leg.threads;
+    c.proc_workers = leg.procs;
+    c.tick_mode = leg.mode;
+    core::Simulation sim(make_state({4, 4, 4}), md::ForceField::sodium(), c);
+    std::string what = "no failure";
+    try {
+      sim.run(2);
+    } catch (const std::runtime_error& e) {
+      what = e.what();
+    }
+    return std::make_pair(what, sim.total_cycles());
+  };
+
+  const auto want = exit_of(kExitLegs[0]);
+  EXPECT_EQ(want.first, "Scheduler::run_until exceeded cycle budget");
+  EXPECT_EQ(want.second, 600u);
+  for (const ExitLeg& leg : kExitLegs) {
+    const auto got = exit_of(leg);
+    EXPECT_EQ(got.first, want.first) << leg_label(leg);
+    EXPECT_EQ(got.second, want.second) << leg_label(leg);
+  }
+}
+
 // ------------------------------------------------- config validation
 
 TEST(ProcSharding, RejectsIncompatibleConfigs) {

@@ -295,6 +295,38 @@ TEST(ElisionFuzz, LongLinksProduceIdleWakesButNoMispredicts) {
       << "800-cycle links should leave globally dead cycles to observe";
 }
 
+// The audit reads only simulated state, so its counters cannot depend on
+// how many threads ran the naive cycle body.
+TEST(ElisionFuzz, ValidateCountersIndependentOfThreadCount) {
+  md::DatasetParams p;
+  p.particles_per_cell = 8;
+  p.seed = 21;
+  p.temperature = 200.0;
+  const auto ff = md::ForceField::sodium();
+  const auto state = md::generate_dataset({4, 4, 4}, 8.5, ff, p);
+
+  auto audit = [&](int threads) {
+    core::ClusterConfig config;
+    config.node_dims = {2, 2, 2};
+    config.cells_per_node = {2, 2, 2};
+    config.channel.link_latency = 800;
+    config.tick_mode = sim::TickMode::kValidate;
+    config.num_worker_threads = threads;
+    core::Simulation sim(state, ff, config);
+    sim.run(1);
+    return sim.elision_stats();
+  };
+
+  const sim::ElisionStats want = audit(1);
+  EXPECT_GT(want.idle_wakes, 0u);
+  EXPECT_EQ(want.mispredicts, 0u);
+  const sim::ElisionStats got = audit(4);
+  EXPECT_EQ(got.executed_cycles, want.executed_cycles);
+  EXPECT_EQ(got.idle_wakes, want.idle_wakes);
+  EXPECT_EQ(got.component_idle_skips, want.component_idle_skips);
+  EXPECT_EQ(got.mispredicts, 0u);
+}
+
 // --------------------------------------------------------- ring conservation
 
 struct FuzzTok {
