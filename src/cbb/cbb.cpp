@@ -1,5 +1,6 @@
 #include "fasda/cbb/cbb.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -148,11 +149,7 @@ Cbb::Cbb(std::string name, const CbbConfig& config, const pe::ForceModel& model,
 
 Cbb::~Cbb() = default;
 
-std::vector<sim::Component*> Cbb::components() {
-  std::vector<sim::Component*> out{this};
-  for (auto& p : pes_) out.push_back(p.get());
-  return out;
-}
+std::vector<sim::Component*> Cbb::components() { return {this}; }
 
 std::vector<sim::Clocked*> Cbb::clocked() {
   std::vector<sim::Clocked*> out;
@@ -237,7 +234,12 @@ bool Cbb::mu_done() const {
 
 // ---------------------------------------------------------------- per cycle
 
-void Cbb::tick(sim::Cycle) {
+void Cbb::tick(sim::Cycle now) {
+  tick_own_stages();
+  for (auto& p : pes_) p->tick(now);
+}
+
+void Cbb::tick_own_stages() {
   // Migration arrivals may land in any phase tail; they are already updated
   // by their previous home cell's MU, so they are appended verbatim.
   while (!mu_arrivals_->empty()) {
@@ -381,6 +383,15 @@ void Cbb::tick_motion_update() {
 }
 
 sim::Cycle Cbb::next_wake(sim::Cycle now) const {
+  sim::Cycle wake = own_wake(now);
+  for (const auto& p : pes_) {
+    if (wake <= now) break;
+    wake = std::min(wake, p->next_wake(now));
+  }
+  return wake;
+}
+
+sim::Cycle Cbb::own_wake(sim::Cycle now) const {
   if (!mu_arrivals_->empty()) return now;
   switch (phase_) {
     case Phase::kIdle:
@@ -407,6 +418,8 @@ void Cbb::skip_idle(sim::Cycle from, sim::Cycle to) {
   // else — the kIdle case, a drained force phase, and a finished MU cursor
   // all hit the same bookkeeping.
   mu_util_.record(0, to - from, false);
+  // Every PE is idle too: the CBB's wake is the minimum over them.
+  for (auto& p : pes_) p->skip_idle(from, to);
 }
 
 void Cbb::accumulate(std::uint16_t slot, const geom::Vec3f& force,

@@ -70,7 +70,8 @@ class Cbb : public sim::Component, public pe::ForceSink {
   Cbb(const Cbb&) = delete;
   Cbb& operator=(const Cbb&) = delete;
 
-  /// Everything to register with the scheduler (this CBB + its PEs).
+  /// Everything to register with the scheduler: the CBB alone, which ticks
+  /// its own PEs, and every FIFO of the cell, the PEs' included.
   std::vector<sim::Component*> components();
   std::vector<sim::Clocked*> clocked();
 
@@ -109,12 +110,20 @@ class Cbb : public sim::Component, public pe::ForceSink {
                            const md::ForceField& ff);
   bool mu_done() const;
 
+  /// Ticks the cell's datapath as one unit: the CBB's own stages
+  /// (migration intake, injection, dispatch, arbitration, MU), then every PE
+  /// in SPE-major order. The order is the old registration order and
+  /// matters within the cycle: the dispatcher reads each PE input's total
+  /// occupancy and the arbiter pops PE outputs, both of which a PE tick
+  /// changes.
   void tick(sim::Cycle now) override;
 
-  /// Elision oracle: busy while anything is queued for this cell in the
-  /// current phase (migration intake, position injection, dispatcher
-  /// queues, PE outputs, MU cursor); never self-schedules a future event.
+  /// Elision oracle: the earlier of the CBB's own wake — busy while anything
+  /// is queued for this cell in the current phase (migration intake,
+  /// position injection, dispatcher queues, PE outputs, MU cursor), never a
+  /// future event — and every PE's wake.
   sim::Cycle next_wake(sim::Cycle now) const override;
+  /// Replays the CBB's idle bookkeeping and forwards the window to its PEs.
   void skip_idle(sim::Cycle from, sim::Cycle to) override;
 
   void accumulate(std::uint16_t slot, const geom::Vec3f& force,
@@ -139,6 +148,8 @@ class Cbb : public sim::Component, public pe::ForceSink {
 
   enum class Phase { kIdle, kForce, kMotionUpdate };
 
+  void tick_own_stages();
+  sim::Cycle own_wake(sim::Cycle now) const;
   void tick_force_phase();
   void tick_motion_update();
 

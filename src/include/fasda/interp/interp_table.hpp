@@ -13,6 +13,8 @@
 // Tables are built for arbitrary f, which is how the paper supports
 // "different force models with trivial modification".
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
@@ -50,10 +52,32 @@ class InterpTable {
   /// Computes the section/bin index of a float32 r² (Eqs. 9-10).
   TableIndex index_of(float r2) const;
 
-  /// Evaluates the interpolation in float32. Out-of-range inputs clamp to
-  /// the nearest bin (the hardware filter guarantees in-range inputs; the
-  /// clamp keeps the functional model total).
-  float eval(float r2) const;
+  /// The section/bin index flattened row-major, read straight off the
+  /// float's bits (r² = 1.m · 2^e): the section is e + n_s (Eq. 9) and the
+  /// bin is (1.m − 1)·n_b (Eq. 10). Out-of-range inputs clamp to the
+  /// nearest bin (the hardware filter guarantees in-range inputs; the clamp
+  /// keeps the functional model total). Every table built from the same
+  /// InterpConfig shares the index, so a pipeline computes it once per pair
+  /// and reads each of its tables with eval_at.
+  std::size_t flat_index(float r2) const {
+    if (!(r2 >= min_r2_)) return 0;  // below range, zero, negative or NaN
+    if (r2 >= 1.0f) return a_.size() - 1;
+    const auto bits = std::bit_cast<std::uint32_t>(r2);
+    const int section =
+        static_cast<int>(bits >> 23) - 127 + config_.num_sections;
+    // 1.m: the mantissa bits under a zero exponent.
+    const float mantissa =
+        std::bit_cast<float>((bits & 0x007FFFFFu) | 0x3F800000u);
+    int bin = static_cast<int>((mantissa - 1.0f) * config_.num_bins);
+    if (bin >= config_.num_bins) bin = config_.num_bins - 1;
+    return static_cast<std::size_t>(section) * config_.num_bins + bin;
+  }
+
+  /// Evaluates the Eq. 8 line of flat bin `i` at r² in float32.
+  float eval_at(std::size_t i, float r2) const { return a_[i] * r2 + b_[i]; }
+
+  /// eval_at(flat_index(r2), r2).
+  float eval(float r2) const { return eval_at(flat_index(r2), r2); }
 
   /// Maximum |eval - f| / |f| over `samples_per_bin` probes per bin,
   /// restricted to the covered range. Used by accuracy tests/ablation.
@@ -67,11 +91,12 @@ class InterpTable {
   }
 
  private:
-  InterpTable(InterpConfig config) : config_(config) {}
+  explicit InterpTable(InterpConfig config);
 
   double bin_left_edge(int section, int bin) const;
 
   InterpConfig config_;
+  float min_r2_;  ///< 2^-ns: the table's lower edge
   // Row-major [section][bin]; a_ and b_ are the Eq. 8 coefficient arrays.
   std::vector<float> a_;
   std::vector<float> b_;

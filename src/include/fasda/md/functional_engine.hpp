@@ -26,6 +26,7 @@
 #include "fasda/fixed/fixed_point.hpp"
 #include "fasda/geom/cell_grid.hpp"
 #include "fasda/interp/interp_table.hpp"
+#include "fasda/md/force_kernel.hpp"
 #include "fasda/md/system_state.hpp"
 #include "fasda/util/thread_pool.hpp"
 
@@ -91,19 +92,14 @@ class FunctionalEngine {
   ForceField ff_;
   geom::CellGrid grid_;
   FunctionalConfig config_;
-  interp::InterpTable table14_;
-  interp::InterpTable table8_;
+  ForceKernel force_kernel_;  ///< the PE pipeline's own pair formula
   interp::InterpTable table12_;
   interp::InterpTable table6_;
-  interp::InterpTable table_ew_force_;
   interp::InterpTable table_ew_energy_;
-  std::vector<PairForceCoeffs> force_coeffs_;
   std::vector<PairEnergyCoeffs> energy_coeffs_;
-  std::vector<float> ewald_force_coeffs_;
   std::vector<float> ewald_energy_coeffs_;
   std::size_t num_elements_;
   std::size_t num_particles_;
-  float min_r2_ = 0.0f;  ///< table lower edge: 2^-ns (normalized)
 
   std::vector<std::vector<Slot>> cells_;
   util::ThreadPool pool_;

@@ -1,27 +1,28 @@
 #pragma once
 // The numeric context shared by every force pipeline in a cluster: the
-// r^-14 / r^-8 interpolation tables and the element-pair coefficient ROM
-// (Fig. 6). Owned by the Simulation; PEs hold a const reference.
+// filter's exclusion bounds and the pair-force kernel — interpolation tables
+// plus the element-pair coefficient ROM (Fig. 6). Owned by the Simulation;
+// PEs hold a const reference.
 
 #include <cstdint>
-#include <vector>
 
 #include "fasda/fixed/fixed_point.hpp"
 #include "fasda/geom/vec3.hpp"
 #include "fasda/interp/interp_table.hpp"
 #include "fasda/md/force_field.hpp"
+#include "fasda/md/force_kernel.hpp"
 
 namespace fasda::pe {
 
 class ForceModel {
  public:
-  /// `terms` selects which RL components the pipelines compute (default LJ
-  /// only, the paper's evaluation). Enabling ewald_real adds one more
-  /// table lookup and a charge-product coefficient per pair — "nearly
-  /// identical" pipelines (§2.1).
+  /// `terms` selects which RL components the pipelines compute (see
+  /// md::ForceKernel).
   ForceModel(const md::ForceField& ff, double cutoff,
              const interp::InterpConfig& table_config,
-             const md::ForceTerms& terms = {});
+             const md::ForceTerms& terms = {})
+      : kernel_(ff, cutoff, table_config, terms),
+        min_r2q_(fixed::kR2One >> table_config.num_sections) {}
 
   /// The filter acceptance test: inside the cutoff and above the excluded
   /// small-r region, computed on exact fixed-point r² (§3.3).
@@ -34,28 +35,14 @@ class ForceModel {
   geom::Vec3f pair_force(const fixed::FixedVec3& a, md::ElementId ea,
                          const fixed::FixedVec3& b, md::ElementId eb) const {
     const float r2 = fixed::r2_to_float(fixed::r2_fixed(a, b));
-    float magnitude = 0.0f;
-    if (terms_.lj) {
-      const md::PairForceCoeffs& k = coeffs_[ea * num_elements_ + eb];
-      magnitude += k.c14 * table14_.eval(r2) - k.c8 * table8_.eval(r2);
-    }
-    if (terms_.ewald_real) {
-      magnitude += ewald_coeffs_[ea * num_elements_ + eb] * table_ew_.eval(r2);
-    }
-    return fixed::displacement_to_float(a, b) * magnitude;
+    return fixed::displacement_to_float(a, b) * kernel_.magnitude(r2, ea, eb);
   }
 
   std::uint64_t min_r2q() const { return min_r2q_; }
-  const md::ForceTerms& terms() const { return terms_; }
+  const md::ForceTerms& terms() const { return kernel_.terms(); }
 
  private:
-  md::ForceTerms terms_;
-  interp::InterpTable table14_;
-  interp::InterpTable table8_;
-  interp::InterpTable table_ew_;
-  std::vector<md::PairForceCoeffs> coeffs_;
-  std::vector<float> ewald_coeffs_;
-  std::size_t num_elements_;
+  md::ForceKernel kernel_;
   std::uint64_t min_r2q_;
 };
 

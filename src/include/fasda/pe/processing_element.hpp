@@ -23,7 +23,6 @@
 // most one token per cycle into the CBB's arbiter FIFO.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -86,7 +85,7 @@ struct RetireProbe {
   static Fn hook;
 };
 
-class ProcessingElement : public sim::Component {
+class ProcessingElement final : public sim::Component {
  public:
   /// `home` is the cell's particle array (the PC/HPC view this PE streams);
   /// it must outlive the PE and only change between force phases.
@@ -165,6 +164,11 @@ class ProcessingElement : public sim::Component {
   sim::Fifo<Reference> input_;
   sim::Fifo<ring::ForceToken> output_;
 
+  // Sized at construction so a tick does not allocate: the pair buffer and
+  // pipeline are rings at their worst-case depths, and the pool, free list
+  // and retirement list are reserved for two filter banks of live
+  // references. Those three only grow past that when passes over a tiny
+  // cell outrun the pipeline latency, and then keep their peak size.
   std::vector<RefState> pool_;        ///< reference slot pool (grows on demand)
   std::vector<RefSlot> free_slots_;
 
@@ -176,8 +180,8 @@ class ProcessingElement : public sim::Component {
   std::vector<std::uint32_t> filter_min_stream_;
 
   std::vector<RefSlot> retiring_;
-  std::deque<PairCandidate> pair_buffer_;
-  std::deque<PipelineEntry> pipeline_;
+  sim::RingQueue<PairCandidate> pair_buffer_;
+  sim::RingQueue<PipelineEntry> pipeline_;
   std::size_t stream_index_ = 0;
   bool pass_active_ = false;
 

@@ -15,9 +15,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <stdexcept>
@@ -97,51 +97,104 @@ class Component {
   Cycle sched_wake_ = 0;
 };
 
+/// Power-of-two ring queue: O(1) push_back/pop_front over one contiguous
+/// slot array. Storage grows by doubling only when a push finds it full and
+/// never shrinks, so a queue stops allocating once it has held its peak
+/// occupancy — or from the start, after reserve(). The storage under Fifo
+/// and the PE's internal pair and pipeline queues.
+template <class T>
+class RingQueue {
+ public:
+  /// Grows the storage to hold at least `n` items (rounded up to a power of
+  /// two) so later pushes up to that occupancy never allocate.
+  void reserve(std::size_t n) {
+    if (n > slots_.size()) regrow(std::bit_ceil(n));
+  }
+
+  bool empty() const { return count_ == 0; }
+  std::size_t size() const { return count_; }
+
+  /// Oldest item; the queue must not be empty.
+  T& front() { return slots_[head_]; }
+  const T& front() const { return slots_[head_]; }
+
+  void push_back(T value) {
+    if (count_ == slots_.size()) regrow(slots_.empty() ? 1 : 2 * slots_.size());
+    slots_[(head_ + count_) & mask_] = std::move(value);
+    ++count_;
+  }
+
+  /// Drops the oldest item; the queue must not be empty.
+  void pop_front() {
+    head_ = (head_ + 1) & mask_;
+    --count_;
+  }
+
+ private:
+  void regrow(std::size_t slots) {
+    std::vector<T> next(slots);
+    for (std::size_t i = 0; i < count_; ++i) {
+      next[i] = std::move(slots_[(head_ + i) & mask_]);
+    }
+    slots_ = std::move(next);
+    head_ = 0;
+    mask_ = slots - 1;
+  }
+
+  std::vector<T> slots_;
+  std::size_t head_ = 0;   ///< slot of the oldest item
+  std::size_t count_ = 0;  ///< items held
+  std::size_t mask_ = 0;   ///< slots_.size() - 1 once allocated
+};
+
 /// Two-phase FIFO: push() stages (visible next cycle); pop()/front() operate
 /// on the committed view. Intended for a single consumer per FIFO. Callers
 /// must check empty() first; pop()/front() on an empty committed queue throw.
+///
+/// One ring holds the committed items followed by the staged ones, so a push
+/// writes the slot after the committed tail and commit() only forgets the
+/// staged count. The ring grows lazily up to the capacity rounded up to a
+/// power of two: a deep buffer costs nothing until it fills.
 template <class T>
 class Fifo : public Clocked {
  public:
   explicit Fifo(std::size_t capacity) : capacity_(capacity) {}
 
   /// Space check against committed + staged occupancy.
-  bool can_push() const { return items_.size() + staged_.size() < capacity_; }
+  bool can_push() const { return items_.size() < capacity_; }
 
   /// Stages an item; returns false (and drops nothing) when full.
   bool push(T value) {
     if (!can_push()) return false;
-    staged_.push_back(std::move(value));
+    items_.push_back(std::move(value));
+    ++staged_;
     return true;
   }
 
-  bool empty() const { return items_.empty(); }
-  std::size_t size() const { return items_.size(); }
+  bool empty() const { return items_.size() == staged_; }
+  std::size_t size() const { return items_.size() - staged_; }
   std::size_t capacity() const { return capacity_; }
 
   /// Committed + staged: used by drain/quiescence checks, not by datapaths.
-  std::size_t total_occupancy() const { return items_.size() + staged_.size(); }
+  std::size_t total_occupancy() const { return items_.size(); }
 
   const T& front() const {
-    if (items_.empty()) throw std::logic_error("Fifo::front on empty committed queue");
+    if (empty()) throw std::logic_error("Fifo::front on empty committed queue");
     return items_.front();
   }
 
   T pop() {
-    if (items_.empty()) throw std::logic_error("Fifo::pop on empty committed queue");
+    if (empty()) throw std::logic_error("Fifo::pop on empty committed queue");
     T v = std::move(items_.front());
     items_.pop_front();
     return v;
   }
 
-  void commit() override {
-    for (auto& v : staged_) items_.push_back(std::move(v));
-    staged_.clear();
-  }
+  void commit() override { staged_ = 0; }
 
  private:
-  std::deque<T> items_;
-  std::vector<T> staged_;
+  RingQueue<T> items_;  ///< committed items, then staged_ staged ones
+  std::size_t staged_ = 0;
   std::size_t capacity_;
 };
 

@@ -4,10 +4,18 @@
 
 namespace fasda::interp {
 
+InterpTable::InterpTable(InterpConfig config)
+    : config_(config), min_r2_(std::ldexp(1.0f, -config.num_sections)) {}
+
 InterpTable InterpTable::build(const std::function<double(double)>& f,
                                const InterpConfig& config) {
   if (config.num_sections < 1 || config.num_bins < 1) {
     throw std::invalid_argument("InterpConfig must have >=1 section and bin");
+  }
+  // flat_index reads the exponent of a normal float: the lowest section's
+  // edge 2^-ns must be one.
+  if (config.num_sections > 126) {
+    throw std::invalid_argument("InterpConfig must have <=126 sections");
   }
   InterpTable table(config);
   table.a_.resize(static_cast<std::size_t>(config.num_sections) * config.num_bins);
@@ -43,35 +51,12 @@ double InterpTable::bin_left_edge(int section, int bin) const {
 
 TableIndex InterpTable::index_of(float r2) const {
   TableIndex idx;
-  if (!(r2 > 0.0f) || r2 < std::ldexp(1.0f, -config_.num_sections)) {
-    idx.below_range = true;
-    idx.section = 0;
-    idx.bin = 0;
-    return idx;
-  }
-  if (r2 >= 1.0f) {
-    idx.above_range = true;
-    idx.section = config_.num_sections - 1;
-    idx.bin = config_.num_bins - 1;
-    return idx;
-  }
-  // Eq. 9: s = floor(log2(r²)) + n_s, taken from the float exponent bits.
-  int exponent = 0;
-  const float mantissa = std::frexp(r2, &exponent);  // r2 = mantissa * 2^exponent, mantissa in [0.5,1)
-  // floor(log2(r2)) = exponent - 1 for normalized mantissa in [0.5, 1).
-  idx.section = exponent - 1 + config_.num_sections;
-  // Eq. 10: b = floor((2^(ns-s) * r² - 1) * n_b); 2^(ns-s)*r² = 2*mantissa.
-  int bin = static_cast<int>((2.0f * mantissa - 1.0f) * config_.num_bins);
-  if (bin >= config_.num_bins) bin = config_.num_bins - 1;
-  idx.bin = bin;
+  idx.below_range = !(r2 >= min_r2_);
+  idx.above_range = r2 >= 1.0f;
+  const std::size_t i = flat_index(r2);
+  idx.section = static_cast<int>(i / config_.num_bins);
+  idx.bin = static_cast<int>(i % config_.num_bins);
   return idx;
-}
-
-float InterpTable::eval(float r2) const {
-  const TableIndex idx = index_of(r2);
-  const std::size_t i =
-      static_cast<std::size_t>(idx.section) * config_.num_bins + idx.bin;
-  return a_[i] * r2 + b_[i];
 }
 
 double InterpTable::max_relative_error(const std::function<double(double)>& f,

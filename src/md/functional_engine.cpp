@@ -29,23 +29,15 @@ FunctionalEngine::FunctionalEngine(const SystemState& state, ForceField ff,
     : ff_(std::move(ff)),
       grid_(state.cell_dims, state.cell_size),
       config_(config),
-      table14_(interp::InterpTable::build_r_pow(14, config.table)),
-      table8_(interp::InterpTable::build_r_pow(8, config.table)),
+      force_kernel_(ff_, config.cutoff, config.table, config.terms),
       table12_(interp::InterpTable::build_r_pow(12, config.table)),
       table6_(interp::InterpTable::build_r_pow(6, config.table)),
-      table_ew_force_(
-          config.terms.ewald_real
-              ? interp::build_ewald_force_table(
-                    config.terms.ewald_beta * config.cutoff, config.table)
-              : interp::InterpTable::build_r_pow(2, config.table)),
       table_ew_energy_(
           config.terms.ewald_real
               ? interp::build_ewald_energy_table(
                     config.terms.ewald_beta * config.cutoff, config.table)
               : interp::InterpTable::build_r_pow(2, config.table)),
-      force_coeffs_(ff_.force_coeff_table(config.cutoff)),
       energy_coeffs_(ff_.energy_coeff_table(config.cutoff)),
-      ewald_force_coeffs_(ff_.ewald_force_coeff_table(config.cutoff)),
       ewald_energy_coeffs_(ff_.ewald_energy_coeff_table(config.cutoff)),
       num_elements_(ff_.num_elements()),
       num_particles_(state.size()),
@@ -55,8 +47,6 @@ FunctionalEngine::FunctionalEngine(const SystemState& state, ForceField ff,
         "FunctionalEngine requires cell_size == cutoff: the hardware "
         "normalizes R_c to one cell edge (§3.4)");
   }
-  min_r2_ = std::ldexp(1.0f, -config.table.num_sections);
-
   cells_.resize(grid_.num_cells());
   for (std::size_t i = 0; i < state.size(); ++i) {
     const geom::Vec3d p = grid_.wrap_position(state.positions[i]);
@@ -88,16 +78,7 @@ std::size_t FunctionalEngine::evaluate_cell_forces(std::size_t cell) {
     const std::uint64_t r2q = fixed::r2_fixed(i.pos, j_pos);
     if (r2q >= fixed::kR2One || r2q < min_r2q) return false;
     const float r2 = fixed::r2_to_float(r2q);
-    float magnitude = 0.0f;
-    if (config_.terms.lj) {
-      const PairForceCoeffs& k =
-          force_coeffs_[i.elem * num_elements_ + j_elem];
-      magnitude += k.c14 * table14_.eval(r2) - k.c8 * table8_.eval(r2);
-    }
-    if (config_.terms.ewald_real) {
-      magnitude += ewald_force_coeffs_[i.elem * num_elements_ + j_elem] *
-                   table_ew_force_.eval(r2);
-    }
+    const float magnitude = force_kernel_.magnitude(r2, i.elem, j_elem);
     const geom::Vec3f u = fixed::displacement_to_float(i.pos, j_pos);
     i.force += u * magnitude;
     return true;
@@ -239,14 +220,18 @@ double FunctionalEngine::interp_potential_energy() const {
       const std::uint64_t r2q = fixed::r2_fixed(i.pos, j_pos);
       if (r2q >= fixed::kR2One || r2q < min_r2q) return;
       const float r2 = fixed::r2_to_float(r2q);
+      // The energy tables share the force tables' InterpConfig, hence one
+      // flat index for all three.
+      const std::size_t bin = table12_.flat_index(r2);
       if (config_.terms.lj) {
         const PairEnergyCoeffs& k =
             energy_coeffs_[i.elem * num_elements_ + j_elem];
-        cell_pe += k.e12 * table12_.eval(r2) - k.e6 * table6_.eval(r2);
+        cell_pe += k.e12 * table12_.eval_at(bin, r2) -
+                   k.e6 * table6_.eval_at(bin, r2);
       }
       if (config_.terms.ewald_real) {
         cell_pe += ewald_energy_coeffs_[i.elem * num_elements_ + j_elem] *
-                   table_ew_energy_.eval(r2);
+                   table_ew_energy_.eval_at(bin, r2);
       }
     };
 

@@ -16,7 +16,20 @@ ProcessingElement::ProcessingElement(std::string name, const PEConfig& config,
       sink_(sink),
       fc_index_(fc_index),
       input_(config.input_queue_depth),
-      output_(config.output_queue_depth) {}
+      output_(config.output_queue_depth) {
+  const auto filters = static_cast<std::size_t>(config.num_filters);
+  pool_.reserve(2 * filters);
+  free_slots_.reserve(2 * filters);
+  retiring_.reserve(2 * filters);
+  filters_.reserve(filters);
+  filter_pos_.reserve(filters);
+  filter_min_stream_.reserve(filters);
+  // stream_and_filter only advances while the buffer can take a full burst
+  // of every loaded filter, and at most one pair issues per cycle into a
+  // pipeline whose entries complete `pipeline_latency` cycles later.
+  pair_buffer_.reserve(config.pair_buffer_depth + filters);
+  pipeline_.reserve(static_cast<std::size_t>(config.pipeline_latency) + 1);
+}
 
 ProcessingElement::RefSlot ProcessingElement::alloc_ref() {
   if (!free_slots_.empty()) {

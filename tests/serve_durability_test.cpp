@@ -206,7 +206,9 @@ TEST(JournalFuzz, EveryTruncationPoint) {
     EXPECT_EQ(report.tail,
               on_boundary ? JournalTail::kClean : JournalTail::kTorn)
         << "cut=" << cut;
-    if (!on_boundary) EXPECT_FALSE(report.issue.empty());
+    if (!on_boundary) {
+      EXPECT_FALSE(report.issue.empty());
+    }
   }
 }
 

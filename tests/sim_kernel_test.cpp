@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <deque>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "fasda/sim/kernel.hpp"
 
 namespace fasda::sim {
@@ -53,6 +59,75 @@ TEST(Fifo, PreservesOrderAcrossCommits) {
   EXPECT_EQ(fifo.pop(), 1);
   EXPECT_EQ(fifo.pop(), 2);
   EXPECT_EQ(fifo.pop(), 3);
+}
+
+TEST(Fifo, GrowsWhileItemsAreStagedAcrossAWrappedHead) {
+  Fifo<int> fifo(16);
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(fifo.push(i));
+  fifo.commit();
+  // Advance the head so the next pushes wrap around the 4-slot ring.
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(fifo.pop(), i);
+  ASSERT_TRUE(fifo.push(4));
+  ASSERT_TRUE(fifo.push(5));
+  fifo.commit();
+  // 3, 4, 5 committed with the tail wrapped; the next pushes fill the ring
+  // and then grow it while 6 is still staged.
+  for (int i = 6; i < 9; ++i) ASSERT_TRUE(fifo.push(i));
+  EXPECT_EQ(fifo.size(), 3u);
+  EXPECT_EQ(fifo.total_occupancy(), 6u);
+  for (int i = 3; i < 6; ++i) EXPECT_EQ(fifo.pop(), i);
+  EXPECT_TRUE(fifo.empty()) << "grown ring must keep 6..8 staged";
+  EXPECT_THROW(fifo.front(), std::logic_error);
+  fifo.commit();
+  for (int i = 6; i < 9; ++i) EXPECT_EQ(fifo.pop(), i);
+  EXPECT_EQ(fifo.total_occupancy(), 0u);
+}
+
+// Differential check against a reference model — a std::deque of committed
+// items plus a vector of staged ones — over 10^5 random operations per
+// capacity. Push and pop bias alternate every 2000 operations, so each
+// capacity is driven both full and empty, the head wraps many times and the
+// ring grows (1024) while items are staged.
+TEST(Fifo, MatchesDequeModelUnderRandomOperations) {
+  for (const std::size_t capacity : {1u, 3u, 16u, 1024u}) {
+    SCOPED_TRACE("capacity=" + std::to_string(capacity));
+    Fifo<std::uint64_t> fifo(capacity);
+    std::deque<std::uint64_t> committed;
+    std::vector<std::uint64_t> staged;
+    std::mt19937_64 rng(capacity);
+    std::uint64_t next = 0;
+    for (int op = 0; op < 100000; ++op) {
+      const bool fill = (op / 2000) % 2 == 0;
+      const unsigned roll = static_cast<unsigned>(rng() % 16);
+      const bool room = committed.size() + staged.size() < capacity;
+      if (roll < (fill ? 8u : 4u)) {
+        ASSERT_EQ(fifo.push(next), room);
+        if (room) staged.push_back(next);
+        ++next;
+      } else if (roll < 12u) {
+        if (committed.empty()) {
+          EXPECT_THROW(fifo.front(), std::logic_error);
+          EXPECT_THROW(fifo.pop(), std::logic_error);
+        } else {
+          ASSERT_EQ(fifo.front(), committed.front());
+          ASSERT_EQ(fifo.pop(), committed.front());
+          committed.pop_front();
+        }
+      } else if (roll < 15u) {
+        fifo.commit();
+        committed.insert(committed.end(), staged.begin(), staged.end());
+        staged.clear();
+      } else {
+        ASSERT_EQ(fifo.can_push(), room);
+      }
+      ASSERT_EQ(fifo.empty(), committed.empty());
+      ASSERT_EQ(fifo.size(), committed.size());
+      ASSERT_EQ(fifo.total_occupancy(), committed.size() + staged.size());
+      ASSERT_EQ(fifo.can_push(),
+                committed.size() + staged.size() < capacity);
+    }
+    EXPECT_GT(next, 30000u);
+  }
 }
 
 TEST(Reg, WriteVisibleNextCycleOnly) {
