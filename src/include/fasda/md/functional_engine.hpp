@@ -58,7 +58,9 @@ class FunctionalEngine {
   double total_energy() const;
 
   /// Potential energy evaluated with the hardware's own float32
-  /// interpolation tables (α = 12, 6); used by interpolation-depth ablation.
+  /// interpolation tables (α = 12, 6, and the Ewald real-space energy when
+  /// enabled), built per call from the engine's InterpConfig; tests use it
+  /// to check the energy tables against the analytic energy.
   double interp_potential_energy() const;
 
   /// Forces (internal units, float32 accumulated) from the last force
@@ -85,6 +87,11 @@ class FunctionalEngine {
     std::uint32_t id = 0;  ///< original particle index
   };
 
+  /// Walks every ordered pair of cell `cell` with a home particle first
+  /// that the fixed-point filter accepts; see the definition.
+  template <class Visitor>
+  void for_each_cell_pair(std::size_t cell, Visitor&& visit) const;
+
   /// Returns the number of accepted unordered pairs owned by this cell.
   std::size_t evaluate_cell_forces(std::size_t cell);
   void motion_update();
@@ -93,11 +100,6 @@ class FunctionalEngine {
   geom::CellGrid grid_;
   FunctionalConfig config_;
   ForceKernel force_kernel_;  ///< the PE pipeline's own pair formula
-  interp::InterpTable table12_;
-  interp::InterpTable table6_;
-  interp::InterpTable table_ew_energy_;
-  std::vector<PairEnergyCoeffs> energy_coeffs_;
-  std::vector<float> ewald_energy_coeffs_;
   std::size_t num_elements_;
   std::size_t num_particles_;
 

@@ -1,6 +1,7 @@
 #include "fasda/md/functional_engine.hpp"
 
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "fasda/interp/ewald.hpp"
@@ -30,15 +31,6 @@ FunctionalEngine::FunctionalEngine(const SystemState& state, ForceField ff,
       grid_(state.cell_dims, state.cell_size),
       config_(config),
       force_kernel_(ff_, config.cutoff, config.table, config.terms),
-      table12_(interp::InterpTable::build_r_pow(12, config.table)),
-      table6_(interp::InterpTable::build_r_pow(6, config.table)),
-      table_ew_energy_(
-          config.terms.ewald_real
-              ? interp::build_ewald_energy_table(
-                    config.terms.ewald_beta * config.cutoff, config.table)
-              : interp::InterpTable::build_r_pow(2, config.table)),
-      energy_coeffs_(ff_.energy_coeff_table(config.cutoff)),
-      ewald_energy_coeffs_(ff_.ewald_energy_coeff_table(config.cutoff)),
       num_elements_(ff_.num_elements()),
       num_particles_(state.size()),
       pool_(config.threads) {
@@ -64,48 +56,61 @@ FunctionalEngine::FunctionalEngine(const SystemState& state, ForceField ff,
   worker_pair_counts_.resize(pool_.size(), 0);
 }
 
-std::size_t FunctionalEngine::evaluate_cell_forces(std::size_t cell) {
-  auto& home = cells_[cell];
+/// Calls visit(a, j_pos, j_elem, r2, owned) for every ordered pair of cell
+/// `cell` with the home particle first, full shell: the home pairs (a, b),
+/// a != b, then the particles of all 26 neighbour cells, each rebased into
+/// this cell's frame exactly as the RCID conversion does on arrival (§4.2).
+/// Only pairs with fixed-point r² inside the cutoff and above the bottom of
+/// the interpolation table are visited. `a` indexes the home cell, `r2` is
+/// the normalized float32 r², and `owned` marks the side of each unordered
+/// pair this cell counts (a < b at home, forward neighbour offsets).
+template <class Visitor>
+void FunctionalEngine::for_each_cell_pair(std::size_t cell,
+                                          Visitor&& visit) const {
+  const auto& home = cells_[cell];
   const geom::IVec3 hc = grid_.coords(static_cast<geom::CellId>(cell));
   // Exclusion threshold in Q6.56 (the bottom of the interpolation table).
-  const std::uint64_t min_r2q =
-      fixed::kR2One >> config_.table.num_sections;
+  const std::uint64_t min_r2q = fixed::kR2One >> config_.table.num_sections;
 
-  for (auto& slot : home) slot.force = {};
-
-  auto accumulate = [&](Slot& i, const fixed::FixedVec3& j_pos,
-                        ElementId j_elem) -> bool {
-    const std::uint64_t r2q = fixed::r2_fixed(i.pos, j_pos);
-    if (r2q >= fixed::kR2One || r2q < min_r2q) return false;
-    const float r2 = fixed::r2_to_float(r2q);
-    const float magnitude = force_kernel_.magnitude(r2, i.elem, j_elem);
-    const geom::Vec3f u = fixed::displacement_to_float(i.pos, j_pos);
-    i.force += u * magnitude;
-    return true;
+  auto try_pair = [&](std::size_t a, const fixed::FixedVec3& j_pos,
+                      ElementId j_elem, bool owned) {
+    const std::uint64_t r2q = fixed::r2_fixed(home[a].pos, j_pos);
+    if (r2q >= fixed::kR2One || r2q < min_r2q) return;
+    visit(a, j_pos, j_elem, fixed::r2_to_float(r2q), owned);
   };
 
-  std::size_t pairs = 0;
-  // Home-cell pairs: both orderings are evaluated (full shell), so each
-  // unordered pair contributes once to each particle.
   for (std::size_t a = 0; a < home.size(); ++a) {
     for (std::size_t b = 0; b < home.size(); ++b) {
-      if (a == b) continue;
-      if (accumulate(home[a], home[b].pos, home[b].elem) && a < b) ++pairs;
+      if (a != b) try_pair(a, home[b].pos, home[b].elem, a < b);
     }
   }
-  // All 26 neighbour cells; particle j is rebased into this cell's frame
-  // exactly as the RCID conversion does on arrival (§4.2).
   for (const geom::IVec3& d : geom::full_shell_offsets()) {
-    const geom::IVec3 nc = grid_.wrap(hc + d);
-    const auto& nbr = cells_[grid_.cid(nc)];
+    const auto& nbr = cells_[grid_.cid(grid_.wrap(hc + d))];
     const bool forward = geom::is_forward_offset(d);
     for (const Slot& j : nbr) {
       const fixed::FixedVec3 j_pos = rebase(j.pos, d);
-      for (Slot& i : home) {
-        if (accumulate(i, j_pos, j.elem) && forward) ++pairs;
+      for (std::size_t a = 0; a < home.size(); ++a) {
+        try_pair(a, j_pos, j.elem, forward);
       }
     }
   }
+}
+
+std::size_t FunctionalEngine::evaluate_cell_forces(std::size_t cell) {
+  auto& home = cells_[cell];
+  for (auto& slot : home) slot.force = {};
+
+  // Each unordered pair is evaluated from both sides, so it contributes
+  // once to each particle and is counted once, by the cell that owns it.
+  std::size_t pairs = 0;
+  for_each_cell_pair(cell, [&](std::size_t a, const fixed::FixedVec3& j_pos,
+                               ElementId j_elem, float r2, bool owned) {
+    Slot& i = home[a];
+    const float magnitude = force_kernel_.magnitude(r2, i.elem, j_elem);
+    const geom::Vec3f u = fixed::displacement_to_float(i.pos, j_pos);
+    i.force += u * magnitude;
+    if (owned) ++pairs;
+  });
   return pairs;
 }
 
@@ -208,45 +213,39 @@ double FunctionalEngine::total_energy() const {
 }
 
 double FunctionalEngine::interp_potential_energy() const {
-  const std::uint64_t min_r2q = fixed::kR2One >> config_.table.num_sections;
+  // The energy tables share the force tables' InterpConfig, hence one flat
+  // index for all three.
+  const interp::InterpTable table12 =
+      interp::InterpTable::build_r_pow(12, config_.table);
+  const interp::InterpTable table6 =
+      interp::InterpTable::build_r_pow(6, config_.table);
+  const std::optional<interp::InterpTable> table_ew =
+      config_.terms.ewald_real
+          ? std::optional(interp::build_ewald_energy_table(
+                config_.terms.ewald_beta * config_.cutoff, config_.table))
+          : std::nullopt;
+  const std::vector<PairEnergyCoeffs> energy_coeffs =
+      ff_.energy_coeff_table(config_.cutoff);
+  const std::vector<float> ewald_energy_coeffs =
+      ff_.ewald_energy_coeff_table(config_.cutoff);
+
   double pe = 0.0;  // halved double-count of float32 pair terms
   for (std::size_t cell = 0; cell < cells_.size(); ++cell) {
     const auto& home = cells_[cell];
-    const geom::IVec3 hc = grid_.coords(static_cast<geom::CellId>(cell));
     float cell_pe = 0.0f;
-
-    auto pair_energy = [&](const Slot& i, const fixed::FixedVec3& j_pos,
-                           ElementId j_elem) {
-      const std::uint64_t r2q = fixed::r2_fixed(i.pos, j_pos);
-      if (r2q >= fixed::kR2One || r2q < min_r2q) return;
-      const float r2 = fixed::r2_to_float(r2q);
-      // The energy tables share the force tables' InterpConfig, hence one
-      // flat index for all three.
-      const std::size_t bin = table12_.flat_index(r2);
+    for_each_cell_pair(cell, [&](std::size_t a, const fixed::FixedVec3&,
+                                 ElementId j_elem, float r2, bool) {
+      const std::size_t bin = table12.flat_index(r2);
+      const std::size_t pair = home[a].elem * num_elements_ + j_elem;
       if (config_.terms.lj) {
-        const PairEnergyCoeffs& k =
-            energy_coeffs_[i.elem * num_elements_ + j_elem];
-        cell_pe += k.e12 * table12_.eval_at(bin, r2) -
-                   k.e6 * table6_.eval_at(bin, r2);
+        const PairEnergyCoeffs& k = energy_coeffs[pair];
+        cell_pe += k.e12 * table12.eval_at(bin, r2) -
+                   k.e6 * table6.eval_at(bin, r2);
       }
-      if (config_.terms.ewald_real) {
-        cell_pe += ewald_energy_coeffs_[i.elem * num_elements_ + j_elem] *
-                   table_ew_energy_.eval_at(bin, r2);
+      if (table_ew) {
+        cell_pe += ewald_energy_coeffs[pair] * table_ew->eval_at(bin, r2);
       }
-    };
-
-    for (std::size_t a = 0; a < home.size(); ++a) {
-      for (std::size_t b = 0; b < home.size(); ++b) {
-        if (a != b) pair_energy(home[a], home[b].pos, home[b].elem);
-      }
-    }
-    for (const geom::IVec3& d : geom::full_shell_offsets()) {
-      const auto& nbr = cells_[grid_.cid(grid_.wrap(hc + d))];
-      for (const Slot& j : nbr) {
-        const fixed::FixedVec3 j_pos = rebase(j.pos, d);
-        for (const Slot& i : home) pair_energy(i, j_pos, j.elem);
-      }
-    }
+    });
     pe += static_cast<double>(cell_pe);
   }
   return pe / 2.0;

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "fasda/md/dataset.hpp"
 #include "fasda/md/energy.hpp"
 #include "fasda/md/functional_engine.hpp"
 #include "fasda/md/reference_engine.hpp"
+#include "fasda/util/crc32.hpp"
 
 namespace fasda::md {
 namespace {
@@ -183,6 +185,66 @@ TEST(FunctionalEngine, CoarseTablesDegradeForceAccuracy) {
     return worst;
   };
   EXPECT_GT(worst_error(coarse), 5.0 * worst_error(fine));
+}
+
+// Bit pins for the fixed-point cell walk: forces, exported state, pair
+// count and the table-interpolated energy after ten steps, with LJ only and
+// with the Ewald real-space term on. The walk's visit order and the
+// per-cell float32 sums fix every bit.
+TEST(FunctionalEngine, BitPinnedAfterTenSteps) {
+  struct Pin {
+    const char* name;
+    bool ewald;
+    std::uint32_t forces_crc;
+    std::uint32_t state_crc;
+    std::size_t pairs;
+    std::uint64_t interp_pe_bits;
+  };
+  const Pin pins[] = {
+      {"lj", false, 0x62ac5b5du, 0x4d5640c7u, 12777, 0xbf9aa522a7000000u},
+      {"lj+ewald_real", true, 0x1a3f323cu, 0xa3165a52u, 12589,
+       0xc011b42aa6000000u},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.name);
+    const auto ff =
+        pin.ewald ? ForceField::sodium_chloride() : ForceField::sodium();
+    DatasetParams p;
+    p.particles_per_cell = 16;
+    p.seed = 7;
+    p.temperature = 150.0;
+    p.elements = ElementAssignment::kAlternating;
+    const auto s = generate_dataset({3, 3, 3}, 8.5, ff, p);
+    auto cfg = config(2);
+    cfg.terms.ewald_real = pin.ewald;
+    cfg.terms.ewald_beta = 0.3;
+    FunctionalEngine engine(s, ff, cfg);
+    engine.step(10);
+
+    util::Crc32 forces;
+    for (const geom::Vec3f& f : engine.forces_by_particle()) {
+      forces.add(f.x);
+      forces.add(f.y);
+      forces.add(f.z);
+    }
+    util::Crc32 state;
+    const auto out = engine.state();
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      state.add(out.positions[i].x);
+      state.add(out.positions[i].y);
+      state.add(out.positions[i].z);
+      state.add(out.velocities[i].x);
+      state.add(out.velocities[i].y);
+      state.add(out.velocities[i].z);
+      state.add(out.elements[i]);
+    }
+    const auto pe_bits =
+        std::bit_cast<std::uint64_t>(engine.interp_potential_energy());
+    EXPECT_EQ(forces.value(), pin.forces_crc);
+    EXPECT_EQ(state.value(), pin.state_crc);
+    EXPECT_EQ(engine.last_pair_count(), pin.pairs);
+    EXPECT_EQ(pe_bits, pin.interp_pe_bits);
+  }
 }
 
 }  // namespace

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "fasda/md/dataset.hpp"
 #include "fasda/md/energy.hpp"
 #include "fasda/md/reference_engine.hpp"
+#include "fasda/util/crc32.hpp"
 
 namespace fasda::md {
 namespace {
@@ -120,6 +124,111 @@ TEST(ReferenceEngine, TwoBodyAnalyticTrajectory) {
   repel.step(5);
   EXPECT_LT(repel.state().positions[0].x, 10.0);
   EXPECT_GT(repel.state().positions[1].x, 10.0 + 0.95 * sigma);
+}
+
+TEST(ReferenceEngine, RejectsCutoffBeyondOneCell) {
+  // The engine walks the 13 half-shell neighbours only, so a cutoff longer
+  // than the cell edge would silently drop the pairs two cells apart.
+  const auto state = small_system();
+  try {
+    ReferenceEngine engine(state, ForceField::sodium(), 9.0, 2.0, 1);
+    FAIL() << "cutoff 9 > cell_size 8.5 was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("9"), std::string::npos) << what;
+    EXPECT_NE(what.find("8.5"), std::string::npos) << what;
+  }
+}
+
+// Bit pins. The pair walk's visit order (cells ascending; home pairs, then
+// the forward offsets in half_shell_offsets() order) and the shape of each
+// reduction fix every output bit, so any restructuring of the walk must
+// keep these values. The digests hash each double's bytes in order.
+std::uint32_t crc_of(const std::vector<geom::Vec3d>& v) {
+  util::Crc32 crc;
+  for (const auto& x : v) {
+    crc.add(x.x);
+    crc.add(x.y);
+    crc.add(x.z);
+  }
+  return crc.value();
+}
+
+std::uint32_t crc_of(const SystemState& s) {
+  util::Crc32 crc;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    crc.add(s.positions[i].x);
+    crc.add(s.positions[i].y);
+    crc.add(s.positions[i].z);
+    crc.add(s.velocities[i].x);
+    crc.add(s.velocities[i].y);
+    crc.add(s.velocities[i].z);
+    crc.add(s.elements[i]);
+  }
+  return crc.value();
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(ReferenceEngine, BitPinnedAfterTenSteps) {
+  struct Pin {
+    std::size_t threads;
+    std::uint32_t forces_crc;
+    std::uint32_t state_crc;
+    std::size_t pairs;
+    std::uint64_t pe_bits;
+  };
+  const Pin pins[] = {
+      {1, 0xa77309f9u, 0xfd6be089u, 12761, 0xbf9a9d9a69cea763u},
+      {2, 0xb2188859u, 0x0376a257u, 12761, 0xbf9a9d9a69cea76cu},
+      {4, 0xab541b88u, 0xdb69bba4u, 12761, 0xbf9a9d9a69cea76fu},
+  };
+  const auto state = small_system();
+  const auto ff = ForceField::sodium();
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.threads);
+    ReferenceEngine engine(state, ff, 8.5, 2.0, pin.threads);
+    engine.step(10);
+    EXPECT_EQ(crc_of(engine.forces()), pin.forces_crc);
+    EXPECT_EQ(crc_of(engine.state()), pin.state_crc);
+    EXPECT_EQ(engine.last_pair_count(), pin.pairs);
+    EXPECT_EQ(bits(engine.potential_energy()), pin.pe_bits);
+  }
+}
+
+TEST(PairWalk, StandaloneObservablesBitPinned) {
+  // Reach 1 (cutoff = cell edge), reach 2 on a grid wide enough for the
+  // forward-offset enumeration, and reach 2 on a grid too small for it,
+  // where every pair is enumerated directly.
+  struct Pin {
+    const char* name;
+    geom::IVec3 dims;
+    double cell_size;
+    double cutoff;
+    std::size_t pairs;
+    std::uint32_t forces_crc;
+    std::uint64_t pe_bits;
+  };
+  const Pin pins[] = {
+      {"reach1", {3, 3, 3}, 8.5, 8.5, 3120, 0x103dea73u, 0xbf62964cfaf6d769u},
+      {"reach2_offsets", {5, 5, 5}, 6.0, 9.0, 53474, 0xe32d83a8u,
+       0xbfb2613a02ae172eu},
+      {"reach2_all_pairs", {4, 4, 4}, 6.0, 9.0, 27328, 0x61f9b4dau,
+       0xbfa2d1f8adcc633fu},
+  };
+  const auto ff = ForceField::sodium();
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.name);
+    DatasetParams p;
+    p.particles_per_cell = 8;
+    p.seed = 7;
+    p.temperature = 150.0;
+    const auto state = generate_dataset(pin.dims, pin.cell_size, ff, p);
+    EXPECT_EQ(count_pairs_within_cutoff(state, pin.cutoff), pin.pairs);
+    EXPECT_EQ(crc_of(compute_forces(state, ff, pin.cutoff)), pin.forces_crc);
+    EXPECT_EQ(bits(compute_potential_energy(state, ff, pin.cutoff)),
+              pin.pe_bits);
+  }
 }
 
 }  // namespace
